@@ -18,10 +18,12 @@
 //! re-warp of a shifted-but-similar kernel must charge at most half
 //! the modeled CAD cycles of its from-scratch first warp.
 
+use std::sync::Arc;
+
 use warp_core::pipeline;
 use warp_core::WarpOptions;
 use warp_online::{
-    NeverPolicy, OnlineConfig, OnlineReport, Orchestrator, ThresholdPolicy, TopKPolicy,
+    NeverPolicy, OnlineConfig, OnlineReport, OnlineSession, ThresholdPolicy, TopKPolicy,
 };
 use warp_profiler::Profiler;
 use workloads::Workload;
@@ -334,7 +336,7 @@ pub fn measure_single_kernel(workload: &Workload, repeats: u32) -> OnlineWorkloa
         repeats,
         ..OnlineConfig::default()
     };
-    let report = Orchestrator::new(&built, config)
+    let report = OnlineSession::new(Arc::new(built), config)
         .with_policy(TopKPolicy { k: 1, min_count: offline.kernel_heat })
         .run()
         .expect("online run");
@@ -361,23 +363,23 @@ pub fn measure_phased(
     outer_b: u32,
     min_count: u64,
 ) -> OnlineWorkloadPerf {
-    let built = workloads::phased::build_scaled(
+    let built = Arc::new(workloads::phased::build_scaled(
         mb_isa::MbFeatures::paper_default(),
         outer_a,
         outer_a2,
         outer_b,
-    );
+    ));
     let config = OnlineConfig {
         slice_cycles: 20_000,
         decay_interval: 8,
         repeats: 1,
         ..OnlineConfig::default()
     };
-    let report = Orchestrator::new(&built, config.clone())
+    let report = OnlineSession::new(Arc::clone(&built), config.clone())
         .with_policy(ThresholdPolicy { min_count })
         .run()
         .expect("phased online run");
-    let software = Orchestrator::new(&built, config)
+    let software = OnlineSession::new(built, config)
         .with_policy(NeverPolicy)
         .run()
         .expect("phased software run");

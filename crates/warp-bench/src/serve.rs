@@ -20,9 +20,20 @@
 //!
 //! Unlike `onlineperf`'s numbers, the throughput figures here are
 //! host wall-clock (like `simperf`'s): they depend on the machine and
-//! the worker count. The *simulated* figures riding along (cycles,
-//! warps, time-to-first-warp, cache hit counts) are functions of the
-//! fleet composition only.
+//! the worker count. The *simulated* fleet totals riding along —
+//! `sim_cycles`, `sim_instructions`, `warps`, and the time-to-first-warp
+//! distribution — do not vary with worker count or interleaving
+//! (measured identical at 1, 2, and 4 workers): the warm-up tenants
+//! leave every kernel the fleet lands in the shared cache's host memo,
+//! so every landed fleet warp is a hit whichever session gets there
+//! first. The cache counters do vary. `evictions` follows the order in
+//! which sessions touch the modeled on-chip residency. `misses` counts
+//! host compiles, including compiles that land in no report (a kernel
+//! detected too late in a run to be patched is still compiled and
+//! published), and sessions that detect such a kernel before any
+//! compile of it is published each compile it: full mode counts 11
+//! misses at 1 worker and 14 at 4. `hits` moves the other way, since
+//! each probe either hits or leads to a compile.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -241,7 +252,7 @@ pub fn measure_fleet(smoke: bool, workers: usize) -> ServePerf {
 
     // Steady-state discipline: one warm-up tenant per binary runs to
     // completion first, through the server itself, so the worker
-    // pools' shared image store and the circuit caches are hot. The
+    // pools' shared image store and the shared circuit cache are hot. The
     // measured window then reflects the long-running server the fleet
     // bar is about — serving work — not first-boot image captures and
     // compile storms, which amortize into setup.

@@ -27,11 +27,11 @@ fn pooled_steady_state_slices_allocate_nothing() {
 
     // First session end-to-end: builds the shared image, parks the
     // warm-run carcass, exercises every cold path once.
-    let mut warmup = OnlineSession::new(Arc::clone(&built), config.clone())
+    OnlineSession::new(Arc::clone(&built), config.clone())
         .with_policy(NeverPolicy)
-        .with_pool(Arc::clone(&pool));
-    while warmup.advance(u64::MAX) == SessionStatus::Runnable {}
-    warmup.into_outcome().expect("warmup completed").expect("warmup verified");
+        .with_pool(Arc::clone(&pool))
+        .run()
+        .expect("warmup verified");
 
     // Second session recycles the carcass. The first slice re-attaches
     // the image and reloads data (setup, not steady state); everything
@@ -53,6 +53,5 @@ fn pooled_steady_state_slices_allocate_nothing() {
     );
 
     // And the session still finishes correctly afterwards.
-    while session.advance(u64::MAX) == SessionStatus::Runnable {}
-    session.into_outcome().expect("session completed").expect("session verified");
+    session.run().expect("session verified");
 }

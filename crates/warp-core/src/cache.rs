@@ -18,15 +18,24 @@
 //! compilation itself runs outside the lock so concurrent misses on
 //! *different* kernels still compile in parallel.
 //!
-//! # Bounded mode
+//! # Host memo and modeled residency
 //!
-//! A long-running multi-tenant host cannot let the cache grow with
-//! every kernel its sessions ever warped. [`CircuitCache::bounded`]
-//! caps the store at a fixed number of entries and evicts the
-//! least-recently-used circuit to admit a new one (recency is bumped on
-//! every hit, probe, or insertion). The default [`CircuitCache::new`]
-//! keeps the historical unbounded behavior — existing single-run flows
-//! and their committed benchmarks are unchanged.
+//! One cache plays two roles. On the host it is a memo: every circuit
+//! compiled through it is kept, unbounded, so a kernel is compiled
+//! once for the cache's lifetime (more often only when compiles of it
+//! race). On the simulated platform it models the warp processor's
+//! on-chip configuration store: [`CircuitCache::bounded`] caps the
+//! number of *resident* configurations and evicts the
+//! least-recently-used fingerprint to admit a new one (recency is
+//! bumped on every hit, probe, or insertion). An evicted kernel leaves
+//! residency but not the memo, so its next lookup is served from the
+//! memo as a hit and re-admitted — a bitstream rewrite, never a
+//! recompile. The default [`CircuitCache::new`] is unbounded, so
+//! nothing is ever evicted.
+//!
+//! [`CacheStats`] keeps the two roles apart: `hits` counts lookups
+//! served without a host compile, `misses` counts host compiles, and
+//! `evictions` and `entries` describe the modeled residency.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,15 +49,16 @@ use crate::system::WarpError;
 /// Hit/miss/eviction counters for a [`CircuitCache`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct CacheStats {
-    /// Lookups that found a compiled circuit.
+    /// Lookups served from the host memo, without a compile.
     pub hits: u64,
-    /// Lookups that had to run the CAD chain.
+    /// Host compiles published to the cache.
     pub misses: u64,
-    /// Circuits evicted to admit new ones (bounded caches only).
+    /// Fingerprints evicted from the modeled on-chip residency to admit
+    /// others (bounded caches only).
     pub evictions: u64,
-    /// Distinct kernels currently cached.
+    /// Kernels currently resident on-chip.
     pub entries: usize,
-    /// Maximum entries admitted (`None` = unbounded).
+    /// Maximum resident kernels (`None` = unbounded).
     pub capacity: Option<usize>,
 }
 
@@ -65,29 +75,16 @@ impl CacheStats {
     }
 }
 
-/// One cached circuit plus the recency stamp the LRU policy orders by.
-struct Entry {
-    artifact: Arc<CompiledWcla>,
-    last_used: u64,
-}
-
-/// The keyed store behind the mutex: entries plus the logical clock
-/// that stamps recency (monotonic per cache, bumped on every touch).
+/// The keyed store behind the mutex.
 #[derive(Default)]
 struct Slots {
-    map: HashMap<u64, Entry>,
+    /// Host memo: every circuit compiled through the cache.
+    memo: HashMap<u64, Arc<CompiledWcla>>,
+    /// Modeled on-chip residency: fingerprint to recency stamp.
+    resident: HashMap<u64, u64>,
+    /// Logical clock stamping recency (monotonic per cache, bumped on
+    /// every touch).
     tick: u64,
-}
-
-impl Slots {
-    fn touch(&mut self, fingerprint: u64) -> Option<Arc<CompiledWcla>> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.map.get_mut(&fingerprint).map(|e| {
-            e.last_used = tick;
-            Arc::clone(&e.artifact)
-        })
-    }
 }
 
 /// A thread-safe, content-addressed store of compiled WCLA circuits.
@@ -99,7 +96,8 @@ impl Slots {
 /// incrementally even when its whole-kernel fingerprint misses.
 pub struct CircuitCache {
     slots: Mutex<Slots>,
-    /// Maximum entries; `usize::MAX` means unbounded (the default).
+    /// Maximum resident entries; `usize::MAX` means unbounded (the
+    /// default).
     capacity: usize,
     cad: Arc<CadCaches>,
     hits: AtomicU64,
@@ -134,26 +132,33 @@ impl CircuitCache {
         CircuitCache::default()
     }
 
-    /// Creates an empty cache holding at most `capacity` circuits
-    /// (clamped to at least 1); admitting a circuit beyond that evicts
-    /// the least-recently-used entry.
+    /// Creates an empty cache whose modeled on-chip store holds at most
+    /// `capacity` circuits (clamped to at least 1); admitting a circuit
+    /// beyond that evicts the least-recently-used one from residency.
+    /// The host memo stays unbounded.
     #[must_use]
     pub fn bounded(capacity: usize) -> Self {
         CircuitCache { capacity: capacity.max(1), ..CircuitCache::default() }
     }
 
-    /// The configured capacity (`None` when unbounded).
+    /// The configured residency capacity (`None` when unbounded).
     #[must_use]
     pub fn capacity(&self) -> Option<usize> {
         (self.capacity != usize::MAX).then_some(self.capacity)
     }
 
-    /// Returns the cached circuit for a kernel fingerprint, if present,
-    /// marking the entry most-recently used. Does not touch the
-    /// hit/miss counters.
+    /// Returns the circuit for a kernel fingerprint if it is resident
+    /// on-chip, marking it most-recently used. Does not touch the
+    /// hit/miss counters. An evicted kernel reads `None` here although
+    /// the memo still holds it: [`probe`](CircuitCache::probe) and
+    /// [`lookup_or_compile`](CircuitCache::lookup_or_compile) serve it.
     #[must_use]
     pub fn get(&self, fingerprint: u64) -> Option<Arc<CompiledWcla>> {
-        self.slots.lock().expect("cache lock").touch(fingerprint)
+        let mut guard = self.slots.lock().expect("cache lock");
+        let slots = &mut *guard;
+        slots.tick += 1;
+        *slots.resident.get_mut(&fingerprint)? = slots.tick;
+        slots.memo.get(&fingerprint).cloned()
     }
 
     /// The sub-kernel CAD caches carried by this circuit cache. Runtimes
@@ -164,64 +169,78 @@ impl CircuitCache {
         Arc::clone(&self.cad)
     }
 
-    /// Probes for an exact whole-kernel hit, verifying the kernel itself
-    /// (the 64-bit fingerprint is not collision-proof). Counts a hit on
-    /// success and nothing otherwise; a probe miss is expected to be
-    /// followed by [`CircuitCache::insert_compiled`], which counts the
-    /// miss.
+    /// Looks the kernel up in the memo, verifying the kernel itself
+    /// (the 64-bit fingerprint is not collision-proof). A hit counts
+    /// one hit and (re-)admits the kernel to residency; a miss counts
+    /// nothing and is expected to be followed by
+    /// [`CircuitCache::insert_compiled`], which counts the compile.
     #[must_use]
     pub fn probe(&self, decompiled: &DecompiledKernel) -> Option<Arc<CompiledWcla>> {
-        let hit = self.get(decompiled.fingerprint)?;
-        if hit.circuit.kernel == decompiled.kernel {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            Some(hit)
-        } else {
-            None
+        let mut slots = self.slots.lock().expect("cache lock");
+        let hit = Arc::clone(slots.memo.get(&decompiled.fingerprint)?);
+        if hit.circuit.kernel != decompiled.kernel {
+            return None;
         }
+        self.admit(&mut slots, decompiled.fingerprint);
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(hit)
     }
 
-    /// Publishes a freshly compiled circuit, counting a miss. On a
-    /// fingerprint collision the slot stays with its first owner; the
-    /// caller keeps using its own artifact either way. A full bounded
-    /// cache evicts its least-recently-used circuit to admit the new
-    /// one (concurrent insertions each admit their entry — an insertion
-    /// is never silently dropped).
+    /// Publishes a freshly compiled circuit, counting a miss (one host
+    /// compile), and admits it to residency. On a fingerprint collision
+    /// the memo slot stays with its first owner; the caller keeps using
+    /// its own artifact either way.
     pub fn insert_compiled(&self, compiled: &Arc<CompiledWcla>) {
         self.misses.fetch_add(1, Ordering::Relaxed);
-        self.admit(compiled.fingerprint, compiled);
+        self.memoize(compiled);
     }
 
-    /// Inserts under the lock, evicting LRU entries down to capacity.
-    fn admit(&self, fingerprint: u64, artifact: &Arc<CompiledWcla>) {
+    /// Memoizes `compiled` (the first artifact per fingerprint keeps
+    /// the slot) and admits it to residency. Returns the memoized
+    /// artifact, so racing compilers of one kernel converge on one
+    /// shared `Arc` — or `compiled` itself when its fingerprint
+    /// collides with a different kernel's, which is neither memoized
+    /// nor admitted.
+    fn memoize(&self, compiled: &Arc<CompiledWcla>) -> Arc<CompiledWcla> {
         let mut slots = self.slots.lock().expect("cache lock");
+        let stored = Arc::clone(
+            slots.memo.entry(compiled.fingerprint).or_insert_with(|| Arc::clone(compiled)),
+        );
+        if !Arc::ptr_eq(&stored, compiled) && stored.circuit.kernel != compiled.circuit.kernel {
+            return Arc::clone(compiled);
+        }
+        self.admit(&mut slots, compiled.fingerprint);
+        stored
+    }
+
+    /// Marks `fingerprint` resident and most-recently used, evicting
+    /// least-recently-used fingerprints down to capacity first if it
+    /// was not resident.
+    fn admit(&self, slots: &mut Slots, fingerprint: u64) {
         slots.tick += 1;
         let tick = slots.tick;
-        if slots.map.contains_key(&fingerprint) {
-            // First owner keeps the slot; refresh its recency so a
-            // racing duplicate insert does not age the shared artifact.
-            if let Some(e) = slots.map.get_mut(&fingerprint) {
-                e.last_used = tick;
-            }
+        if let Some(stamp) = slots.resident.get_mut(&fingerprint) {
+            *stamp = tick;
             return;
         }
-        while slots.map.len() >= self.capacity.max(1) {
-            let Some((&victim, _)) = slots.map.iter().min_by_key(|(_, e)| e.last_used) else {
+        while slots.resident.len() >= self.capacity {
+            let Some((&victim, _)) = slots.resident.iter().min_by_key(|(_, &stamp)| stamp) else {
                 break;
             };
-            slots.map.remove(&victim);
+            slots.resident.remove(&victim);
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        slots.map.insert(fingerprint, Entry { artifact: Arc::clone(artifact), last_used: tick });
+        slots.resident.insert(fingerprint, tick);
     }
 
     /// Returns the compiled circuit for a decompiled kernel, running
-    /// the CAD chain only on a miss.
+    /// the CAD chain only when the memo does not hold it.
     ///
     /// The boolean is `true` on a hit. Compilation happens outside the
     /// cache lock, so concurrent misses on different kernels proceed in
     /// parallel; if two threads race on the *same* kernel, both compile
-    /// (deterministically, to identical artifacts) and the first
-    /// insertion wins.
+    /// (deterministically, to identical artifacts), both count a miss,
+    /// and both are served the first insertion.
     ///
     /// # Errors
     ///
@@ -230,55 +249,43 @@ impl CircuitCache {
         &self,
         decompiled: &DecompiledKernel,
     ) -> Result<(Arc<CompiledWcla>, bool), WarpError> {
-        if let Some(hit) = self.get(decompiled.fingerprint) {
-            // The 64-bit FNV-1a fingerprint is not collision-proof, so a
-            // hit must still match the kernel itself before the CAD chain
-            // is skipped. A colliding kernel compiles fresh and is *not*
-            // inserted (the slot stays with its first owner).
-            if hit.circuit.kernel == decompiled.kernel {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((hit, true));
-            }
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return Ok((Arc::new(compile_circuit(decompiled)?), false));
+        if let Some(hit) = self.probe(decompiled) {
+            return Ok((hit, true));
         }
         let compiled = Arc::new(compile_circuit(decompiled)?);
         self.misses.fetch_add(1, Ordering::Relaxed);
-        self.admit(decompiled.fingerprint, &compiled);
-        // Serve whatever the slot now holds so racing compilers of the
-        // same kernel converge on one shared artifact; if a bounded
-        // cache already evicted it again, fall back to our own copy.
-        let stored = self.get(decompiled.fingerprint).unwrap_or(compiled);
-        Ok((stored, false))
+        Ok((self.memoize(&compiled), false))
     }
 
-    /// Current hit/miss/eviction/occupancy counters.
+    /// Current hit/miss/eviction/residency counters.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.slots.lock().expect("cache lock").map.len(),
+            entries: self.len(),
             capacity: self.capacity(),
         }
     }
 
-    /// Number of distinct kernels cached.
+    /// Number of kernels currently resident on-chip.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.slots.lock().expect("cache lock").map.len()
+        self.slots.lock().expect("cache lock").resident.len()
     }
 
-    /// Whether the cache holds no circuits.
+    /// Whether no kernel is resident.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Drops every cached circuit (counters are kept).
+    /// Drops every memoized and resident circuit (counters are kept).
     pub fn clear(&self) {
-        self.slots.lock().expect("cache lock").map.clear();
+        let mut slots = self.slots.lock().expect("cache lock");
+        slots.memo.clear();
+        slots.resident.clear();
     }
 }
 
@@ -343,31 +350,46 @@ mod tests {
         let c = decompiled("crc32");
 
         cache.lookup_or_compile(&a).unwrap();
-        cache.lookup_or_compile(&b).unwrap();
+        let (first_b, _) = cache.lookup_or_compile(&b).unwrap();
         // Touch `a` so `b` becomes the LRU victim.
         assert!(cache.probe(&a).is_some());
         cache.lookup_or_compile(&c).unwrap();
 
         assert_eq!(cache.len(), 2);
-        assert!(cache.get(a.fingerprint).is_some(), "recently-used entry must survive");
+        assert!(cache.get(a.fingerprint).is_some(), "recently-used entry must stay resident");
         assert!(cache.get(b.fingerprint).is_none(), "LRU entry must be evicted");
         assert!(cache.get(c.fingerprint).is_some(), "new entry must be admitted");
         assert_eq!(cache.stats().evictions, 1);
+
+        // The evicted kernel left residency, not the memo: it comes
+        // back as the same artifact, as a hit, without a compile, and
+        // its re-admission evicts the now least-recently-used `a`.
+        let (again_b, hit) = cache.lookup_or_compile(&b).unwrap();
+        assert!(hit);
+        assert!(Arc::ptr_eq(&first_b, &again_b));
+        assert!(cache.get(a.fingerprint).is_none());
+        assert_eq!(
+            cache.stats(),
+            CacheStats { hits: 2, misses: 3, evictions: 2, entries: 2, capacity: Some(2) }
+        );
     }
 
     #[test]
-    fn evicted_kernel_recompiles_bit_identical() {
+    fn evicted_kernel_returns_from_the_memo() {
         let cache = CircuitCache::bounded(1);
         let a = decompiled("brev");
         let b = decompiled("canrdr");
         let (first, _) = cache.lookup_or_compile(&a).unwrap();
-        cache.lookup_or_compile(&b).unwrap(); // evicts `a`
+        cache.lookup_or_compile(&b).unwrap(); // evicts `a` from residency
+        assert!(cache.get(a.fingerprint).is_none());
         let (again, hit) = cache.lookup_or_compile(&a).unwrap();
-        assert!(!hit, "evicted circuit must recompile");
-        assert!(!Arc::ptr_eq(&first, &again));
-        assert_eq!(first.circuit.compiled.bitstream, again.circuit.compiled.bitstream);
-        assert_eq!(first.circuit.model, again.circuit.model);
-        assert_eq!(first.dpm, again.dpm);
+        assert!(hit, "an evicted circuit is re-admitted, not recompiled");
+        assert!(Arc::ptr_eq(&first, &again));
+        assert!(cache.get(a.fingerprint).is_some());
+        assert_eq!(
+            cache.stats(),
+            CacheStats { hits: 1, misses: 2, evictions: 2, entries: 1, capacity: Some(1) }
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! Concurrency here is strictly a host-side overlap: nothing about the
 //! *modeled* timeline may depend on how fast the workers are or how
 //! many there are. Callers must consume results only at deterministic
-//! simulated-time boundaries (see `warp-online`'s orchestrator), which
+//! simulated-time boundaries (see `warp-online`'s session), which
 //! is what keeps reports byte-identical across `WARP_CAD_THREADS`
 //! settings.
 

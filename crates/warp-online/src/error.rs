@@ -7,7 +7,7 @@ use mb_sim::{MemError, RunError};
 use warp_core::WarpError;
 use workloads::VerifyError;
 
-/// Why an [`Orchestrator::run`](crate::Orchestrator::run) failed.
+/// Why an [`OnlineSession`](crate::OnlineSession) run failed.
 ///
 /// Every wrapping variant exposes its phase-specific error through
 /// [`Error::source`], and the wrapped errors do the same

@@ -30,21 +30,25 @@
 //!    profiler promotes the new loop, the old circuit is evicted (its
 //!    patch reverted), and the runtime re-warps.
 //!
-//! The entry point is [`Orchestrator`]; the outcome is an
-//! [`OnlineReport`] carrying the warp-event timeline (detection cycle,
-//! CAD budget, patch cycle, eviction), per-circuit hardware activity,
-//! and amortization comparisons against the offline
+//! The one entry point is [`OnlineSession`]: [`OnlineSession::run`]
+//! drives a workload to completion, and [`OnlineSession::advance`]
+//! runs it a bounded number of slices at a time for a server to
+//! interleave. The outcome is an [`OnlineReport`] carrying the
+//! warp-event timeline (detection cycle, CAD budget, patch cycle,
+//! eviction), per-circuit hardware activity, and amortization
+//! comparisons against the offline
 //! [`DpmReport`](warp_core::dpm::DpmReport) model.
 //!
 //! # Example
 //!
 //! ```
+//! use std::sync::Arc;
+//!
 //! use mb_isa::MbFeatures;
-//! use warp_online::{OnlineConfig, Orchestrator, ThresholdPolicy};
+//! use warp_online::{OnlineConfig, OnlineSession, ThresholdPolicy};
 //!
 //! let built = workloads::by_name("brev").unwrap().build(MbFeatures::paper_default());
-//! let config = OnlineConfig::default();
-//! let report = Orchestrator::new(&built, config)
+//! let report = OnlineSession::new(Arc::new(built), OnlineConfig::default())
 //!     .with_policy(ThresholdPolicy { min_count: 256 })
 //!     .run()
 //!     .unwrap();
@@ -58,7 +62,6 @@
 #![warn(missing_docs)]
 
 mod error;
-mod orchestrator;
 mod policy;
 mod pool;
 mod report;
@@ -66,8 +69,7 @@ mod session;
 mod slot;
 
 pub use error::OnlineError;
-pub use orchestrator::{OnlineConfig, Orchestrator};
 pub use policy::{NeverPolicy, PolicyCtx, ThresholdPolicy, TopKPolicy, WarpPolicy};
 pub use pool::{ImageStore, PoolStats, SessionPool};
 pub use report::{OnlineReport, WarpEvent};
-pub use session::{OnlineSession, SessionStatus};
+pub use session::{OnlineConfig, OnlineSession, SessionStatus};

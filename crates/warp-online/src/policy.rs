@@ -22,7 +22,7 @@ pub struct PolicyCtx {
 
 /// A warp-decision policy.
 ///
-/// The orchestrator offers candidates from
+/// The online session offers candidates from
 /// [`Profiler::hot_regions`](warp_profiler::Profiler::hot_regions) in
 /// heat order (hottest first), already excluding the active region and
 /// regions that previously failed decompilation. Returning `true`

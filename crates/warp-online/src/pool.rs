@@ -10,13 +10,6 @@
 //!   ([`workloads::BuiltWorkload::fingerprint`]), captured from a fully
 //!   warmed run and attached read-only by every session
 //!   (copy-on-patch, so a warping session never perturbs siblings).
-//! * **Circuits** — every warp circuit the CAD chain compiles for a
-//!   program is kept alongside its image in an unbounded [`ImageStore`]
-//!   cache. The bounded [`CircuitCache`] models the on-chip
-//!   configuration store and evicts under pressure; the image store is
-//!   host memory, so an evicted configuration is a bitstream rewrite
-//!   away, never a recompile. Sessions consult it only when they opted
-//!   into cross-session artifact sharing (`with_cache`).
 //! * **Carcasses** — finished sessions return their [`System`] instead
 //!   of dropping it; the next session with the same fingerprint resets
 //!   the run state in place (registers, data memory, caches, stats,
@@ -24,23 +17,20 @@
 //!
 //! The intended deployment is **one pool per worker thread sharing one
 //! [`ImageStore`]**: carcasses then never bounce between cores and the
-//! carcass mutex is uncontended, while a binary is imaged once and each
-//! hot region compiled once for the whole fleet.
+//! carcass mutex is uncontended, while a binary is imaged once for the
+//! whole fleet.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use mb_sim::{ProgramImage, System};
-use warp_core::CircuitCache;
 
 /// Observable pool effectiveness (for benches and diagnostics).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct PoolStats {
     /// Distinct program images currently held (in the shared store).
     pub images: usize,
-    /// Compiled warp circuits currently held (in the shared store).
-    pub circuits: usize,
     /// Idle `System` carcasses currently parked in this pool.
     pub carcasses: usize,
     /// Times an image had to be built (first session per fingerprint).
@@ -51,16 +41,12 @@ pub struct PoolStats {
     pub fresh: u64,
 }
 
-/// The fleet-shared layer of a [`SessionPool`]: frozen program images
-/// and compiled warp circuits, both pure functions of program content,
-/// so one store can back any number of per-worker pools.
+/// The fleet-shared layer of a [`SessionPool`]: frozen program images,
+/// a pure function of program content, so one store can back any
+/// number of per-worker pools.
 #[derive(Default)]
 pub struct ImageStore {
     images: Mutex<HashMap<u64, Arc<ProgramImage>>>,
-    /// Unbounded, fingerprint-keyed: the serving layer's backing copy
-    /// of every compiled configuration (the bounded on-chip
-    /// `CircuitCache` is the modeled hardware; this is host memory).
-    circuits: CircuitCache,
     image_builds: AtomicU64,
 }
 
@@ -69,12 +55,6 @@ impl ImageStore {
     #[must_use]
     pub fn new() -> Self {
         ImageStore::default()
-    }
-
-    /// The compiled-circuit side of the store.
-    #[must_use]
-    pub fn circuits(&self) -> &CircuitCache {
-        &self.circuits
     }
 }
 
@@ -101,8 +81,8 @@ impl SessionPool {
         SessionPool::sharing(&Arc::new(ImageStore::new()))
     }
 
-    /// Creates an empty pool whose images and circuits live in (and are
-    /// shared through) `store`. Carcasses remain private to this pool.
+    /// Creates an empty pool whose images live in (and are shared
+    /// through) `store`. Carcasses remain private to this pool.
     #[must_use]
     pub fn sharing(store: &Arc<ImageStore>) -> Self {
         SessionPool {
@@ -111,18 +91,6 @@ impl SessionPool {
             recycled: AtomicU64::new(0),
             fresh: AtomicU64::new(0),
         }
-    }
-
-    /// The image-and-circuit store backing this pool.
-    #[must_use]
-    pub fn store(&self) -> &Arc<ImageStore> {
-        &self.store
-    }
-
-    /// The fleet-shared compiled-circuit store.
-    #[must_use]
-    pub fn circuits(&self) -> &CircuitCache {
-        &self.store.circuits
     }
 
     /// Returns the image for `key`, building (and publishing) it with
@@ -174,7 +142,6 @@ impl SessionPool {
     pub fn stats(&self) -> PoolStats {
         PoolStats {
             images: self.store.images.lock().expect("pool images lock").len(),
-            circuits: self.store.circuits.len(),
             carcasses: self
                 .carcasses
                 .lock()

@@ -1,34 +1,81 @@
-//! The online runtime as an owned, resumable state machine.
+//! The online warp runtime: one owned, resumable state machine.
 //!
-//! [`Orchestrator::run`](crate::Orchestrator::run) is the one-shot
-//! driver; an [`OnlineSession`] is the same runtime with the run loop
-//! turned inside out. All of the loop-carried state — the simulated
-//! [`System`], the profiler, the OCPM's in-flight/pending CAD job, the
-//! active patch, the warp-event timeline — lives in the session struct,
-//! and [`OnlineSession::advance`] executes a bounded number of
-//! scheduler slices before handing control back.
+//! An [`OnlineSession`] interleaves three actors on a single simulated
+//! timeline:
+//!
+//! * the **MicroBlaze**, executing the workload in bounded cycle slices;
+//! * the **profiler**, fed every retired instruction during the slice
+//!   (it is the slice's [`TraceSink`](mb_sim::TraceSink)) and decayed
+//!   on a fixed cadence so it tracks the current program phase;
+//! * the **OCPM**, which — once the policy commits to a region — runs
+//!   the real CAD chain host-side through the typed
+//!   [`warp_core::pipeline`] stages on a background [`CadService`]
+//!   worker, while the *modeled* lean-processor cycle cost is charged
+//!   to the timeline; the patch lands only when that budget has elapsed
+//!   in simulated time.
+//!
+//! # Concurrency without nondeterminism
+//!
+//! The paper's DPM is a separate processor: CAD runs *while* the
+//! application keeps executing. The runtime reproduces that overlap in
+//! host wall-clock — compilation is submitted to a worker thread at
+//! detection and the MicroBlaze keeps simulating slices — without ever
+//! letting host speed or `WARP_CAD_THREADS` leak into the modeled
+//! timeline. The trick is that the background result is only *consumed*
+//! at a boundary computed from modeled quantities: the first slice
+//! boundary at-or-after `detected + decompile_floor` (a lower bound on
+//! the CAD budget known at detection). If the worker is still running
+//! there, the session blocks on it; if it finished earlier, the result
+//! waited. Either way every downstream decision — blacklisting,
+//! `ready_at`, the patch cycle — happens at the same simulated cycle on
+//! every host, so [`OnlineReport`]s are byte-identical across thread
+//! counts.
+//!
+//! When a [`CircuitCache`] is attached, a kernel it has memoized skips
+//! the CAD chain and pays only the bitstream write, and its sub-kernel
+//! [`CadCaches`] ride along into background compiles: a re-warp of a
+//! shifted-but-similar kernel replays mapped LUT cones, placements, and
+//! first-pass net routes, producing a bit-identical circuit while
+//! charging only the delta work to the timeline (see
+//! [`warp_core::pipeline::compile_circuit_cached`]).
+//!
+//! Hot-patching happens between slices through
+//! [`System::imem_mut`]; the pre-decoded fetch store invalidates itself
+//! via `Bram::generation`, so the next fetch of the loop head sees the
+//! jump to the invocation stub. Because the stub marshals the *current*
+//! counter, stream pointers, and accumulators, a patch that lands
+//! mid-loop is safe: the next pass over the loop head hands the
+//! remaining iterations to hardware.
+//!
+//! # Sliced, owned, and `Send`
+//!
+//! All of the loop-carried state — the simulated [`System`], the
+//! profiler, the OCPM's in-flight/pending CAD job, the active patch,
+//! the warp-event timeline — lives in the session struct.
+//! [`OnlineSession::advance`] executes a bounded number of scheduler
+//! slices before handing control back, and [`OnlineSession::run`]
+//! advances to completion in one call.
 //!
 //! That inversion is what makes **warp-as-a-service** possible: a
 //! session is `Send` and `'static` (it owns its workload via `Arc` and
 //! shares the [`CircuitCache`]/[`CadService`] via `Arc`), so a server
 //! can host thousands of them and time-slice runnable sessions across a
 //! fixed worker pool, migrating a session between threads at any
-//! `advance` boundary. Because `advance` replays exactly the loop body
-//! of `Orchestrator::run` — same slice budget, same join/patch/detect
-//! ordering at every slice boundary — a served session's
-//! [`OnlineReport`] is bit-identical to a standalone run of the same
-//! workload, no matter how its slices interleave with other sessions or
-//! how many worker threads the server uses. The compile-time
-//! `assert_send` at the bottom of this module keeps regressions from
-//! ever reaching the server.
+//! `advance` boundary. Every slice does the same join/patch/detect work
+//! in the same order whatever the slicing, so a served session's
+//! [`OnlineReport`] is bit-identical to [`OnlineSession::run`] on the
+//! same workload, no matter how its slices interleave with other
+//! sessions or how many worker threads the server uses. The
+//! compile-time `assert_send` at the bottom of this module keeps
+//! regressions from ever reaching the server.
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
-use mb_sim::{ProgramImage, StopReason, System};
+use mb_sim::{MbConfig, ProgramImage, StopReason, System};
 use warp_core::dpm::{costs, DpmReport};
 use warp_core::pipeline::{self, CompiledWcla};
-use warp_core::{CadHandle, CadService, CircuitCache, WarpError};
+use warp_core::{CadHandle, CadService, CircuitCache, WarpError, WarpOptions};
 use warp_profiler::{HotRegion, Profiler};
 use warp_wcla::patch::{apply_patch, revert_patch, PatchPlan};
 use warp_wcla::CadCaches;
@@ -36,11 +83,51 @@ use warp_wcla::{WclaDevice, WclaStats, WCLA_BASE, WCLA_WINDOW};
 use workloads::BuiltWorkload;
 
 use crate::error::OnlineError;
-use crate::orchestrator::OnlineConfig;
 use crate::policy::{PolicyCtx, ThresholdPolicy, WarpPolicy};
 use crate::pool::SessionPool;
 use crate::report::{OnlineReport, WarpEvent};
 use crate::slot::SharedSlot;
+
+/// Knobs of the online runtime.
+#[derive(Clone, Debug)]
+pub struct OnlineConfig {
+    /// Simulated system configuration (features are overridden per
+    /// workload by [`BuiltWorkload::instantiate`]).
+    pub mb: MbConfig,
+    /// The warp flow's options: profiler geometry, power models, and —
+    /// crucially here — `dpm_clock_hz`, the clock of the lean OCPM
+    /// processor that the CAD cycle budget is converted with.
+    pub options: WarpOptions,
+    /// Cycle budget per scheduler slice. Smaller slices react faster
+    /// (detection and patching happen at slice boundaries) but cost
+    /// more host-side scheduling; one slice should cover at least a
+    /// few hundred kernel iterations.
+    pub slice_cycles: u64,
+    /// Profiler decay cadence, in slices (0 disables decay). Decay is
+    /// what lets the ranking *forget* a phase that ended or a kernel
+    /// that moved to hardware.
+    pub decay_interval: u32,
+    /// Number of times to run the application end-to-end on one
+    /// timeline. Patches persist across repeats — a re-entered program
+    /// starts warped, the paper's "transparent optimization amortized
+    /// over reuse".
+    pub repeats: u32,
+    /// Hard timeline budget across all repeats.
+    pub max_cycles: u64,
+}
+
+impl Default for OnlineConfig {
+    fn default() -> Self {
+        OnlineConfig {
+            mb: MbConfig::paper_default(),
+            options: WarpOptions::default(),
+            slice_cycles: 20_000,
+            decay_interval: 16,
+            repeats: 1,
+            max_cycles: 2_000_000_000,
+        }
+    }
+}
 
 /// What [`OnlineSession::advance`] left behind.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -102,8 +189,7 @@ struct ActiveWarp {
 }
 
 /// The online warp runtime for one workload, sliced for cooperative
-/// scheduling. See the module docs for how this relates to
-/// [`Orchestrator`](crate::Orchestrator).
+/// scheduling. See the module docs.
 pub struct OnlineSession {
     built: Arc<BuiltWorkload>,
     config: OnlineConfig,
@@ -141,8 +227,7 @@ pub struct OnlineSession {
 impl OnlineSession {
     /// Creates a session with the default [`ThresholdPolicy`], no shared
     /// circuit cache, and a private [`CadService`] sized by
-    /// `WARP_CAD_THREADS` — the exact defaults of
-    /// [`Orchestrator::new`](crate::Orchestrator::new).
+    /// `WARP_CAD_THREADS`.
     #[must_use]
     pub fn new(built: Arc<BuiltWorkload>, config: OnlineConfig) -> Self {
         let profiler = Profiler::new(config.options.profiler);
@@ -180,18 +265,13 @@ impl OnlineSession {
         self
     }
 
-    /// Replaces the warp policy with an already-boxed one.
-    #[must_use]
-    pub fn with_policy_box(mut self, policy: Box<dyn WarpPolicy>) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Shares a circuit cache: kernels compiled by other sessions (or
     /// previous runs) warm-start this one, paying only reconfiguration
     /// cycles on the timeline; this session's compiles warm everyone
-    /// else. The cache's sub-kernel [`CadCaches`] ride along into
-    /// background compiles.
+    /// else, including a compile still in flight when the program
+    /// exits. The cache's sub-kernel [`CadCaches`] ride along into
+    /// background compiles. Without a cache, tenancy stays invisible
+    /// to the modeled timeline.
     #[must_use]
     pub fn with_cache(mut self, cache: Arc<CircuitCache>) -> Self {
         self.cad_caches = cache.cad_caches();
@@ -216,14 +296,6 @@ impl OnlineSession {
     /// place, and parks its `System` back in the pool when it
     /// finishes. Execution is bit-identical to an unpooled session —
     /// the pool only changes where the buffers come from.
-    ///
-    /// Combined with [`with_cache`](OnlineSession::with_cache) (the
-    /// opt-in to cross-session artifact sharing), the pool's
-    /// [`ImageStore`](crate::ImageStore) additionally keeps every
-    /// compiled warp circuit with its program image: a region evicted
-    /// from the bounded cache is re-served as a bitstream rewrite
-    /// instead of a recompile. Without `with_cache` the store is never
-    /// consulted and tenancy stays invisible.
     #[must_use]
     pub fn with_pool(mut self, pool: Arc<SessionPool>) -> Self {
         self.pool = Some(pool);
@@ -286,6 +358,22 @@ impl OnlineSession {
             Some(Ok(_)) => SessionStatus::Finished,
             Some(Err(_)) => SessionStatus::Failed,
         }
+    }
+
+    /// Drives the session to completion on this thread: the one-call
+    /// form of calling [`advance`](OnlineSession::advance) until it
+    /// stops returning [`Runnable`](SessionStatus::Runnable).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OnlineError`] if the simulated program faults, the
+    /// final memory diverges from the golden model, a patch cannot be
+    /// applied, a CAD phase fails for a reason other than "region not
+    /// implementable" (those are skipped and blacklisted), or the
+    /// timeline budget runs out.
+    pub fn run(mut self) -> Result<OnlineReport, OnlineError> {
+        while self.advance(u64::MAX) == SessionStatus::Runnable {}
+        self.into_outcome().expect("advance stops only once the outcome is set")
     }
 
     /// Consumes the session and returns its outcome: `Some` once
@@ -401,30 +489,16 @@ impl OnlineSession {
         Ok(())
     }
 
-    /// The pool's fleet-shared circuit store, engaged only when the
-    /// session opted into cross-session artifact sharing via
-    /// [`with_cache`](OnlineSession::with_cache) — without that opt-in,
-    /// tenancy must stay invisible to the modeled timeline.
-    fn circuit_store(&self) -> Option<&CircuitCache> {
-        if self.cache.is_some() {
-            self.pool.as_deref().map(SessionPool::circuits)
-        } else {
-            None
-        }
-    }
-
     /// Parks the finished session's `System` in the pool (or drops it).
     fn retire_system(&mut self) {
         // A background compile the timeline never consumed (the program
         // exited before the join boundary) still produced a host-side
-        // artifact: publish it to the image store so sibling sessions
-        // of the same binary never re-pay the CAD chain. Host memory
-        // only — the modeled on-chip cache is untouched.
-        if self.circuit_store().is_some() {
+        // artifact: publish it to the shared cache so sibling sessions
+        // of the same binary never re-pay the CAD chain.
+        if let Some(cache) = &self.cache {
             if let CadState::InFlight(f) = std::mem::replace(&mut self.cad, CadState::Idle) {
                 if let Ok(compiled) = f.handle.wait() {
-                    let store = self.circuit_store().expect("checked above");
-                    store.insert_compiled(&Arc::new(compiled));
+                    cache.insert_compiled(&Arc::new(compiled));
                 }
             }
         }
@@ -444,8 +518,7 @@ impl OnlineSession {
     /// finished or failed session returns immediately without work —
     /// `advance` is idempotent past the end.
     ///
-    /// Each slice performs exactly the boundary work of
-    /// [`Orchestrator::run`](crate::Orchestrator::run)'s loop body:
+    /// Each slice performs the same boundary work whatever the budget:
     /// profiler decay on its cadence, joining a background compile at
     /// its deterministic boundary, landing a ready patch, offering
     /// candidates to the policy, and rolling into the next repeat when
@@ -498,9 +571,6 @@ impl OnlineSession {
                     let compiled = Arc::new(compiled);
                     if let Some(c) = &self.cache {
                         c.insert_compiled(&compiled);
-                    }
-                    if let Some(store) = self.circuit_store() {
-                        store.insert_compiled(&compiled);
                     }
                     let cad_cycles = cad_timeline_cycles(
                         &compiled.dpm,
@@ -609,7 +679,6 @@ impl OnlineSession {
                 match begin_warp(
                     &self.built,
                     self.cache.as_deref(),
-                    self.circuit_store(),
                     &self.service,
                     &self.cad_caches,
                     &self.config,
@@ -689,21 +758,6 @@ fn capture_warm_image(built: &BuiltWorkload, config: &OnlineConfig) -> (ProgramI
     (image, warm)
 }
 
-/// Builds a session from the parts an [`Orchestrator`](crate::Orchestrator)
-/// holds.
-pub(crate) fn session_from_parts(
-    built: Arc<BuiltWorkload>,
-    config: OnlineConfig,
-    policy: Box<dyn WarpPolicy>,
-    cache: Option<Arc<CircuitCache>>,
-) -> OnlineSession {
-    let mut session = OnlineSession::new(built, config).with_policy_box(policy);
-    if let Some(cache) = cache {
-        session = session.with_cache(cache);
-    }
-    session
-}
-
 /// Whether the PC is outside the stub words an eviction would rewrite.
 /// (Patching the loop head itself is always safe — the current
 /// iteration completes on the original body and the *next* head fetch
@@ -736,11 +790,9 @@ pub(crate) fn rejects_region(e: &WarpError) -> bool {
 /// `Ok(None)` means decompilation or patch planning rejected the
 /// region (blacklist it). Fabric rejections surface later, at the
 /// in-flight join boundary.
-#[allow(clippy::too_many_arguments)]
 fn begin_warp(
     built: &BuiltWorkload,
     cache: Option<&CircuitCache>,
-    store: Option<&CircuitCache>,
     service: &CadService,
     cad_caches: &Arc<CadCaches>,
     config: &OnlineConfig,
@@ -766,19 +818,10 @@ fn begin_warp(
         Err(e) => return lift(e),
     };
 
-    // Probe the modeled on-chip configuration cache first; on a miss,
-    // fall back to the pool's image store (the serving layer's
-    // host-side backing copy). Either way the kernel skips the CAD
-    // chain and pays only the bitstream write — a store rescue also
-    // re-inserts the configuration, making it resident on-chip again.
-    let rescue = cache.and_then(|c| c.probe(&decompiled)).or_else(|| {
-        let hit = store?.probe(&decompiled)?;
-        if let Some(cache) = cache {
-            cache.insert_compiled(&hit);
-        }
-        Some(hit)
-    });
-    if let Some(hit) = rescue {
+    // A kernel the cache has memoized skips the CAD chain and pays only
+    // the bitstream write, becoming resident on-chip again if it had
+    // been evicted.
+    if let Some(hit) = cache.and_then(|c| c.probe(&decompiled)) {
         let cad_cycles =
             cad_timeline_cycles(&hit.dpm, true, config.mb.clock_hz, config.options.dpm_clock_hz);
         return Ok(Some(CadState::Ready(PendingWarp {
@@ -844,8 +887,126 @@ const _: fn() = || {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::TopKPolicy;
+    use crate::policy::{NeverPolicy, TopKPolicy};
     use mb_isa::MbFeatures;
+
+    fn brev() -> Arc<BuiltWorkload> {
+        Arc::new(workloads::by_name("brev").unwrap().build(MbFeatures::paper_default()))
+    }
+
+    /// A brev session committing to its kernel early enough to land
+    /// mid-run.
+    fn brev_session(built: &Arc<BuiltWorkload>, config: OnlineConfig) -> OnlineSession {
+        OnlineSession::new(Arc::clone(built), config)
+            .with_policy(TopKPolicy { k: 1, min_count: 256 })
+    }
+
+    #[test]
+    fn never_policy_is_a_pure_software_timeline() {
+        let built = brev();
+        let report = OnlineSession::new(Arc::clone(&built), OnlineConfig::default())
+            .with_policy(NeverPolicy)
+            .run()
+            .unwrap();
+        assert!(report.events.is_empty());
+        assert_eq!(report.exit_code, 0);
+
+        // The sliced never-warp timeline is cycle-identical to one
+        // monolithic software run.
+        let mut sys = built.instantiate(&MbConfig::paper_default());
+        let out = sys.run(500_000_000).unwrap();
+        assert_eq!(report.cycles, out.cycles);
+        assert_eq!(report.instructions, out.instructions);
+    }
+
+    #[test]
+    fn brev_warps_mid_run_and_finishes_in_hardware() {
+        let built = brev();
+        let report = brev_session(&built, OnlineConfig::default()).run().unwrap();
+        assert_eq!(report.events.len(), 1, "brev's cheap CAD must land within one run");
+        let e = &report.events[0];
+        assert_eq!((e.head, e.tail), (built.kernel.head, built.kernel.tail));
+        assert!(e.patched_cycle >= e.detected_cycle + e.cad_cycles);
+        assert!(e.patched_cycle < report.cycles, "patch must land before the program ends");
+        assert!(e.hw.invocations >= 1, "the remaining iterations must run in hardware");
+        assert!(e.hw.iterations > 0);
+        assert!(!e.cache_hit);
+        assert_eq!(e.evicted, None);
+    }
+
+    #[test]
+    fn warm_cache_charges_only_reconfiguration() {
+        let built = brev();
+        let cache = Arc::new(CircuitCache::new());
+        // Slices finer than the CAD budget, so the patch cycle resolves
+        // the cold/warm difference instead of quantizing it away.
+        let config = OnlineConfig { slice_cycles: 2_000, ..OnlineConfig::default() };
+        let cold =
+            brev_session(&built, config.clone()).with_cache(Arc::clone(&cache)).run().unwrap();
+        let warm = brev_session(&built, config).with_cache(Arc::clone(&cache)).run().unwrap();
+        assert!(!cold.events[0].cache_hit);
+        assert!(warm.events[0].cache_hit, "the second session must warm-start");
+        assert_eq!(warm.events[0].cad_cycles, {
+            let dpm = warm.events[0].dpm;
+            cad_timeline_cycles(&dpm, true, 85_000_000, warp_core::DEFAULT_DPM_CLOCK_HZ)
+        });
+        assert!(
+            warm.events[0].cad_cycles < cold.events[0].cad_cycles,
+            "warm start must shorten time-to-warp"
+        );
+        assert!(warm.time_to_first_warp().unwrap() < cold.time_to_first_warp().unwrap());
+    }
+
+    /// The megablock trace engine must be invisible to the online
+    /// runtime: hot patches land between slices while the dispatcher is
+    /// mid-trace on the patched loop, and the imem write log must drop
+    /// the dirtied traces so the very next head fetch sees the jump to
+    /// the invocation stub. A full warped run with traces on therefore
+    /// produces the *same* timeline, events, and profiler view as one
+    /// with traces off.
+    #[test]
+    fn warped_timeline_is_identical_with_and_without_traces() {
+        let built = brev();
+        let run = |mb: MbConfig| {
+            brev_session(&built, OnlineConfig { mb, repeats: 2, ..OnlineConfig::default() })
+                .run()
+                .unwrap()
+        };
+        let traced = run(MbConfig::paper_default());
+        let untraced = run(MbConfig::paper_default().with_traces(false));
+
+        assert_eq!(traced.cycles, untraced.cycles);
+        assert_eq!(traced.instructions, untraced.instructions);
+        assert_eq!(traced.slices, untraced.slices);
+        assert_eq!(traced.exit_code, untraced.exit_code);
+        assert_eq!(traced.profiler, untraced.profiler);
+        assert_eq!(traced.events.len(), untraced.events.len());
+        for (t, u) in traced.events.iter().zip(&untraced.events) {
+            assert_eq!((t.head, t.tail), (u.head, u.tail));
+            assert_eq!(t.detected_cycle, u.detected_cycle);
+            assert_eq!(t.patched_cycle, u.patched_cycle);
+            assert_eq!(t.patched_insns, u.patched_insns);
+            assert_eq!(t.hw.invocations, u.hw.invocations);
+            assert_eq!(t.hw.iterations, u.hw.iterations);
+        }
+        assert!(traced.events[0].hw.invocations >= 2, "patched kernel must run in hardware");
+    }
+
+    #[test]
+    fn repeats_accumulate_one_timeline_and_stay_patched() {
+        let built = brev();
+        let config = OnlineConfig { repeats: 3, ..OnlineConfig::default() };
+        let report = brev_session(&built, config.clone()).run().unwrap();
+        assert_eq!(report.repeats, 3);
+        assert_eq!(report.events.len(), 1, "the standing patch needs no second warp");
+        // Repeats 2 and 3 enter the kernel already warped: one
+        // invocation from the mid-run patch plus one per warm repeat.
+        assert!(report.events[0].hw.invocations >= 3);
+
+        // And the warped repeats are cheaper than software-only ones.
+        let sw = OnlineSession::new(built, config).with_policy(NeverPolicy).run().unwrap();
+        assert!(report.cycles < sw.cycles, "online {} vs software {}", report.cycles, sw.cycles);
+    }
 
     #[test]
     fn cad_budget_scales_with_the_ocpm_clock() {
@@ -865,11 +1026,9 @@ mod tests {
 
     #[test]
     fn session_slicing_is_invisible_to_the_timeline() {
-        let built =
-            Arc::new(workloads::by_name("brev").unwrap().build(MbFeatures::paper_default()));
+        let built = brev();
         let run_with_budgets = |budgets: &[u64]| {
-            let mut session = OnlineSession::new(Arc::clone(&built), OnlineConfig::default())
-                .with_policy(TopKPolicy { k: 1, min_count: 256 });
+            let mut session = brev_session(&built, OnlineConfig::default());
             let mut i = 0;
             while session.advance(budgets[i % budgets.len()]) == SessionStatus::Runnable {
                 i += 1;
@@ -879,6 +1038,8 @@ mod tests {
         let one_at_a_time = run_with_budgets(&[1]);
         let ragged = run_with_budgets(&[3, 1, 7, 2]);
         let all_at_once = run_with_budgets(&[u64::MAX]);
+        let whole = brev_session(&built, OnlineConfig::default()).run().unwrap();
+        assert_eq!(all_at_once, whole, "run() is advance to completion");
 
         for other in [&ragged, &all_at_once] {
             assert_eq!(one_at_a_time.cycles, other.cycles);
@@ -892,10 +1053,7 @@ mod tests {
 
     #[test]
     fn advance_past_the_end_is_idempotent() {
-        let built =
-            Arc::new(workloads::by_name("brev").unwrap().build(MbFeatures::paper_default()));
-        let mut session = OnlineSession::new(built, OnlineConfig::default())
-            .with_policy(TopKPolicy { k: 1, min_count: 256 });
+        let mut session = brev_session(&brev(), OnlineConfig::default());
         while session.advance(4) == SessionStatus::Runnable {}
         let (cycles, slices) = (session.cycles(), session.slices());
         assert_eq!(session.advance(10), SessionStatus::Finished);
@@ -925,9 +1083,7 @@ mod tests {
         .join()
         .unwrap();
 
-        let mut local = fresh(&built);
-        while local.advance(u64::MAX) == SessionStatus::Runnable {}
-        let local = local.into_outcome().unwrap().unwrap();
+        let local = fresh(&built).run().unwrap();
 
         assert_eq!(migrated.cycles, local.cycles);
         assert_eq!(migrated.instructions, local.instructions);
@@ -937,8 +1093,7 @@ mod tests {
 
     #[test]
     fn patch_imem_reaches_the_live_system() {
-        let built =
-            Arc::new(workloads::by_name("brev").unwrap().build(MbFeatures::paper_default()));
+        let built = brev();
         let mut session = OnlineSession::new(Arc::clone(&built), OnlineConfig::default());
         // Overwrite a word far past the program image: harmless to
         // execution, visible through the system's imem.

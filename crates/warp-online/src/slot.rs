@@ -4,7 +4,7 @@
 //! runtime instead owns **one** fabric that is reconfigured in place
 //! when a re-warp evicts the previous circuit. The slot is the
 //! peripheral mapped at [`WCLA_BASE`](warp_wcla::WCLA_BASE): the
-//! orchestrator keeps a handle and swaps the hosted device when a warp
+//! session keeps a handle and swaps the hosted device when a warp
 //! event lands, while the bus keeps talking to the same address window.
 //! An empty slot (before the first warp) reads as zero and ignores
 //! writes — the unconfigured fabric.
@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex};
 use mb_sim::{Bram, BusResponse, Peripheral};
 use warp_wcla::WclaDevice;
 
-/// Orchestrator-side handle to the fabric slot.
+/// Session-side handle to the fabric slot.
 ///
 /// Shared via `Arc<Mutex<_>>` (not `Rc<RefCell<_>>`) so the session that
 /// owns it stays `Send` — a server migrates sessions between worker

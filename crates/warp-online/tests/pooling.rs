@@ -8,10 +8,14 @@
 //! 2. **Copy-on-patch isolation** — two sessions share one program
 //!    image; hot-patching one mid-trace changes *its* outcome and only
 //!    its outcome: the sibling stays byte-identical to an unshared run.
+//! 3. **Pooling is invisible to the shared cache** — a kernel evicted
+//!    from a bounded cache's modeled residency comes back from its host
+//!    memo as a hit, whether or not the session is pooled.
 
 use std::sync::Arc;
 
 use mb_isa::MbFeatures;
+use warp_core::CircuitCache;
 use warp_online::{OnlineConfig, OnlineSession, SessionPool, SessionStatus, TopKPolicy};
 use workloads::BuiltWorkload;
 
@@ -19,15 +23,8 @@ fn policy() -> TopKPolicy {
     TopKPolicy { k: 1, min_count: 256 }
 }
 
-fn drive(
-    mut session: OnlineSession,
-) -> Result<warp_online::OnlineReport, warp_online::OnlineError> {
-    while session.advance(u64::MAX) == SessionStatus::Runnable {}
-    session.into_outcome().expect("session drove to completion")
-}
-
 fn run_unpooled(built: &Arc<BuiltWorkload>, config: &OnlineConfig) -> warp_online::OnlineReport {
-    drive(OnlineSession::new(Arc::clone(built), config.clone()).with_policy(policy())).unwrap()
+    OnlineSession::new(Arc::clone(built), config.clone()).with_policy(policy()).run().unwrap()
 }
 
 #[test]
@@ -39,12 +36,11 @@ fn pooled_sessions_match_unpooled_on_every_workload() {
 
         let pool = Arc::new(SessionPool::new());
         for round in 0..2 {
-            let pooled = drive(
-                OnlineSession::new(Arc::clone(&built), config.clone())
-                    .with_policy(policy())
-                    .with_pool(Arc::clone(&pool)),
-            )
-            .unwrap();
+            let pooled = OnlineSession::new(Arc::clone(&built), config.clone())
+                .with_policy(policy())
+                .with_pool(Arc::clone(&pool))
+                .run()
+                .unwrap();
             assert_eq!(
                 pooled, reference,
                 "{} round {round}: pooled report must be bit-identical",
@@ -73,12 +69,11 @@ fn seeded_siblings_share_one_image() {
     for seed in 0..3u64 {
         let built = Arc::new(workload.build_seeded(MbFeatures::paper_default(), seed));
         let reference = run_unpooled(&built, &config);
-        let pooled = drive(
-            OnlineSession::new(built, config.clone())
-                .with_policy(policy())
-                .with_pool(Arc::clone(&pool)),
-        )
-        .unwrap();
+        let pooled = OnlineSession::new(built, config.clone())
+            .with_policy(policy())
+            .with_pool(Arc::clone(&pool))
+            .run()
+            .unwrap();
         assert_eq!(pooled, reference, "seed {seed}");
     }
     let stats = pool.stats();
@@ -131,4 +126,42 @@ fn hot_patching_one_pooled_sibling_never_perturbs_the_other() {
     let clean = clean.into_outcome().unwrap().unwrap();
     assert_eq!(clean, reference, "the sibling must stay byte-identical to an unshared run");
     assert_eq!(pool.stats().images, 1, "both siblings shared one image");
+}
+
+/// brev, then crc32 (evicting brev from a one-entry residency), then
+/// brev again: the third session is served brev's circuit from the
+/// cache's host memo — a hit that re-admits it, not a recompile — and
+/// a pooled fleet reports exactly what an unpooled one does.
+#[test]
+fn evicted_kernels_return_from_the_memo_pooled_or_not() {
+    let build =
+        |name: &str| Arc::new(workloads::by_name(name).unwrap().build(MbFeatures::paper_default()));
+    let programs = [build("brev"), build("crc32"), build("brev")];
+    let fleet = |pool: Option<Arc<SessionPool>>| {
+        let cache = Arc::new(CircuitCache::bounded(1));
+        let reports: Vec<_> = programs
+            .iter()
+            .map(|built| {
+                let session = OnlineSession::new(Arc::clone(built), OnlineConfig::default())
+                    .with_policy(policy())
+                    .with_cache(Arc::clone(&cache));
+                match &pool {
+                    Some(pool) => session.with_pool(Arc::clone(pool)),
+                    None => session,
+                }
+                .run()
+                .unwrap()
+            })
+            .collect();
+        (reports, cache.stats())
+    };
+    let (pooled, pooled_stats) = fleet(Some(Arc::new(SessionPool::new())));
+    let (unpooled, unpooled_stats) = fleet(None);
+
+    assert_eq!(pooled, unpooled, "pooling must not change any report");
+    assert!(!pooled[0].events[0].cache_hit);
+    assert!(pooled[2].events[0].cache_hit, "the evicted kernel must come back as a hit");
+    for stats in [pooled_stats, unpooled_stats] {
+        assert_eq!((stats.hits, stats.misses), (1, 2), "{stats:?}");
+    }
 }

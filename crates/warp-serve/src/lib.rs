@@ -15,7 +15,8 @@
 //!
 //! * **Determinism.** A served session's
 //!   [`OnlineReport`](warp_online::OnlineReport) is
-//!   bit-identical to a standalone `Orchestrator` run of the same
+//!   bit-identical to a standalone
+//!   [`OnlineSession::run`](warp_online::OnlineSession::run) of the same
 //!   workload — at any worker count and under any interleaving —
 //!   because a session's timeline depends only on the sequence of
 //!   `advance` calls applied to it (pinned by `tests/determinism.rs`

@@ -14,7 +14,7 @@
 //! model, and hardware activity, plus the profiler counters — crosses
 //! the wire losslessly. The round-trip test in `tests/wire.rs` decodes
 //! a served report and asserts it equal to a standalone
-//! [`Orchestrator`](warp_online::Orchestrator) run of the same
+//! [`OnlineSession::run`](warp_online::OnlineSession::run) of the same
 //! workload: determinism holds end-to-end *through the socket*, not
 //! just in process.
 

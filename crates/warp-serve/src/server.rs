@@ -53,6 +53,8 @@
 //! modeled CAD budget, so *which* session pays the cold compile depends
 //! on arrival order — the fleet is faster, and each report is still
 //! internally consistent, but cross-run bit-identity is traded away.
+//! The cache's own counters (hits, misses, evictions) depend on arrival
+//! order too.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -205,9 +207,8 @@ struct Shared {
     work_cv: Condvar,
     shutdown: AtomicBool,
     fleet: FleetCounters,
-    /// Program images and compiled warp circuits, shared by every
-    /// worker's [`SessionPool`]: a binary is imaged once and each hot
-    /// region compiled once for the whole fleet, while `System`
+    /// Program images, shared by every worker's [`SessionPool`]: a
+    /// binary is imaged once for the whole fleet, while `System`
     /// carcasses stay worker-local.
     images: Arc<ImageStore>,
 }
@@ -495,7 +496,7 @@ fn claim(
 fn worker_loop(shared: &Shared, me: usize, quantum_slices: u64) {
     // One pool per worker, all sharing the server's image store:
     // recycled `System` carcasses stay core-local (the carcass mutex is
-    // uncontended) while images and compiled circuits are fleet-wide.
+    // uncontended) while images are fleet-wide.
     let pool = Arc::new(SessionPool::sharing(&shared.images));
     loop {
         let Some((shard_idx, id, mut session, budget)) = claim(shared, me, quantum_slices) else {

@@ -1,5 +1,5 @@
 //! The acceptance pin: a served session's report is **bit-identical**
-//! to a standalone `Orchestrator` run of the same seeded workload — for
+//! to a standalone `OnlineSession::run` of the same seeded workload — for
 //! every workload in the registry, at 1 worker and at 8 workers, with
 //! all sessions in flight concurrently so quanta genuinely interleave.
 //!
@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use mb_isa::MbFeatures;
 use warp_core::CadService;
-use warp_online::{OnlineConfig, OnlineSession, Orchestrator, TopKPolicy};
+use warp_online::{OnlineConfig, OnlineSession, TopKPolicy};
 use warp_serve::{ServeConfig, Server};
 
 const SEED: u64 = 0xC0FFEE;
@@ -28,7 +28,10 @@ fn serve_whole_registry_with(workers: usize) {
         .map(|name| {
             let built =
                 workloads::by_name(name).unwrap().build_seeded(MbFeatures::paper_default(), SEED);
-            Orchestrator::new(&built, OnlineConfig::default()).with_policy(POLICY).run().unwrap()
+            OnlineSession::new(Arc::new(built), OnlineConfig::default())
+                .with_policy(POLICY)
+                .run()
+                .unwrap()
         })
         .collect();
 

@@ -86,9 +86,9 @@ fn distinct_kernels_are_never_lost() {
     assert!(stats.hits >= names.len() as u64);
 }
 
-/// More kernels than slots: the cache must evict (counting each one)
-/// instead of growing, and evicted kernels must recompile bit-identically
-/// on their way back in.
+/// More kernels than slots: the modeled residency must evict (counting
+/// each one) instead of growing, and evicted kernels must come back from
+/// the host memo as hits serving the very artifact compiled first.
 #[test]
 fn eviction_pressure_keeps_the_cache_bounded() {
     let names = ["brev", "crc32", "fir", "g3fax", "canrdr"];
@@ -111,12 +111,14 @@ fn eviction_pressure_keeps_the_cache_bounded() {
     assert!(cache.len() <= 2, "bounded cache grew past capacity");
     assert!(stats.evictions >= (names.len() - 2) as u64);
 
-    // Whatever was evicted comes back bit-identical.
+    // Whatever was evicted comes back, without a recompile.
     for (name, earlier) in names.iter().zip(&first_pass) {
-        let (recompiled, _) = cache.lookup_or_compile(&decompiled_kernel(name)).unwrap();
-        assert_eq!(recompiled.circuit.compiled.bitstream, earlier.circuit.compiled.bitstream);
-        assert_eq!(recompiled.dpm, earlier.dpm);
+        let (again, hit) = cache.lookup_or_compile(&decompiled_kernel(name)).unwrap();
+        assert!(hit, "{name}: an evicted kernel must be served from the memo");
+        assert!(Arc::ptr_eq(&again, earlier), "{name}: the memo serves the first artifact");
     }
+    assert_eq!(cache.stats().misses, names.len() as u64, "no kernel compiled twice");
+    assert!(cache.len() <= 2, "re-admission stays within capacity");
 }
 
 /// The serving payoff: a fleet of tenants running the *same* kernel

@@ -1,12 +1,12 @@
 //! End-to-end TCP: the framed protocol against a live socket, with the
 //! determinism pin extended *through the wire* — a report decoded off
-//! the socket equals a standalone `Orchestrator` run bit-for-bit.
+//! the socket equals a standalone `OnlineSession::run` bit-for-bit.
 
 use std::sync::Arc;
 
 use mb_isa::MbFeatures;
 use warp_core::CircuitCache;
-use warp_online::{OnlineConfig, Orchestrator, TopKPolicy};
+use warp_online::{OnlineConfig, OnlineSession, TopKPolicy};
 use warp_serve::tcp::{Client, WireServer};
 use warp_serve::{ServeConfig, ServeError};
 
@@ -33,7 +33,7 @@ fn served_report_over_tcp_matches_standalone_run() {
     let over_wire = client.report(id).unwrap();
 
     let built = workloads::by_name("brev").unwrap().build_seeded(MbFeatures::paper_default(), seed);
-    let standalone = Orchestrator::new(&built, OnlineConfig::default())
+    let standalone = OnlineSession::new(Arc::new(built), OnlineConfig::default())
         .with_policy(TopKPolicy { k: 1, min_count: 256 })
         .run()
         .unwrap();

@@ -82,9 +82,9 @@ impl WclaDevice {
     /// The handle is `Arc<Mutex<_>>` rather than `Rc<RefCell<_>>`: the
     /// device is mapped into a [`System`](mb_sim::System) that a
     /// multi-session host migrates between worker threads, so the stats
-    /// channel back to the orchestrator must be `Send`. The lock is
+    /// channel back to the online session must be `Send`. The lock is
     /// uncontended in practice — the device mutates it from the bus and
-    /// the orchestrator reads it between slices, never concurrently.
+    /// the session reads it between slices, never concurrently.
     #[must_use]
     pub fn new(circuit: WclaCircuit, mb_clock_hz: u64) -> (Self, Arc<Mutex<WclaStats>>) {
         let stats = Arc::new(Mutex::new(WclaStats::default()));

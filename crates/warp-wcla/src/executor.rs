@@ -8,19 +8,15 @@
 //! then serializes for [`MAC_LATENCY`] cycles on
 //! the single hard multiplier.
 //!
-//! Functional behaviour uses the mapped LUT netlist, whose equivalence
-//! to the configuration bitstream is established by the fabric crate's
-//! tests (evaluating the decoded bitstream for every iteration would be
-//! needlessly slow; spot equivalence is checked per circuit at build
-//! time).
+//! Functional behaviour comes from [`execute_flat`], which evaluates
+//! the kernel's word-level DFG — the source of truth the LUT netlist is
+//! synthesized from. The tests below pin it against the kernel
+//! interpreter and against a bit-level executor that evaluates the
+//! mapped netlist every iteration; the netlist's equivalence to the
+//! configuration bitstream is established by the fabric crate's tests.
 
-use std::collections::BTreeMap;
-
-use mb_isa::Reg;
 use mb_sim::{Bram, MemError};
-use warp_cdfg::KernelEnv;
 use warp_fabric::CompiledCircuit;
-use warp_synth::bits::InputWord;
 use warp_synth::LutNetlist;
 
 use crate::{FABRIC_CLOCK_HZ, MAC_LATENCY};
@@ -80,63 +76,6 @@ impl ExecModel {
     }
 }
 
-/// Result of one hardware invocation.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct HwOutcome {
-    /// Iterations executed (the seeded counter value).
-    pub iterations: u64,
-    /// Fabric cycles consumed.
-    pub fabric_cycles: u64,
-    /// Final accumulator values (register → value).
-    pub accs: BTreeMap<Reg, u32>,
-    /// Loads performed.
-    pub loads: u64,
-    /// Stores performed.
-    pub stores: u64,
-}
-
-/// Executes a compiled kernel against the data BRAM.
-///
-/// Functional behaviour uses the kernel's word-level DFG — the source
-/// of truth the netlist is synthesized from, and bit-identical to it
-/// (pinned per-workload by `word_and_bit_level_executors_agree` below
-/// and by the synthesis crate's own equivalence checks). Evaluating
-/// words instead of LUT bits keeps warped hot loops within the same
-/// order of host cost as the software engines; [`execute_netlist`]
-/// remains as the bit-level reference.
-///
-/// # Errors
-///
-/// Returns [`MemError`] if a generated address leaves the BRAM — the
-/// hardware equivalent of a wild pointer.
-pub fn execute(
-    kernel: &warp_cdfg::LoopKernel,
-    _netlist: &LutNetlist,
-    model: &ExecModel,
-    env: &KernelEnv,
-    dmem: &mut Bram,
-) -> Result<HwOutcome, MemError> {
-    let mut scratch = ExecScratch::default();
-    let mut ptrs: Vec<u32> = kernel.streams.iter().map(|s| env.pointers[&s.base]).collect();
-    let mut accs: Vec<u32> =
-        kernel.accs.iter().map(|a| env.accs.get(&a.reg).copied().unwrap_or(0)).collect();
-    let invs: Vec<u32> =
-        kernel.invariants.iter().map(|r| env.invariants.get(r).copied().unwrap_or(0)).collect();
-
-    let flat =
-        execute_flat(kernel, model, env.counter, &mut ptrs, &mut accs, &invs, dmem, &mut scratch)?;
-
-    let accs: BTreeMap<Reg, u32> =
-        kernel.accs.iter().enumerate().map(|(k, a)| (a.reg, accs[k])).collect();
-    Ok(HwOutcome {
-        iterations: flat.iterations,
-        fabric_cycles: flat.fabric_cycles,
-        accs,
-        loads: flat.loads,
-        stores: flat.stores,
-    })
-}
-
 /// Reusable per-device evaluation buffers: a [`WclaDevice`] is invoked
 /// many times per warp (once per dispatch of the patched loop), and the
 /// serving hot path must not allocate per invocation.
@@ -148,8 +87,8 @@ pub struct ExecScratch {
     load_vals: Vec<((usize, i32), u32)>,
 }
 
-/// [`execute`]'s outcome without the register-keyed map — the flat
-/// counters; accumulators are updated in the caller's buffer in place.
+/// One hardware invocation's counters; accumulators are updated in the
+/// caller's buffer in place.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct FlatOutcome {
     /// Iterations executed (the seeded counter value).
@@ -162,10 +101,17 @@ pub struct FlatOutcome {
     pub stores: u64,
 }
 
-/// The allocation-free core of [`execute`]: all inputs and outputs are
-/// flat, index-aligned buffers (`ptrs` by stream index, `accs` by
-/// kernel accumulator index, `invs` by kernel invariant index), updated
-/// in place so a device can feed its own registers straight in.
+/// Executes a compiled kernel against the data BRAM, allocation-free:
+/// all inputs and outputs are flat, index-aligned buffers (`ptrs` by
+/// stream index, `accs` by kernel accumulator index, `invs` by kernel
+/// invariant index), updated in place so a device can feed its own
+/// registers straight in.
+///
+/// Functional behaviour uses the kernel's word-level DFG, bit-identical
+/// to the synthesized netlist (pinned per workload by
+/// `word_and_bit_level_executors_agree` below). Evaluating words
+/// instead of LUT bits keeps warped hot loops within the same order of
+/// host cost as the software engines.
 ///
 /// # Errors
 ///
@@ -229,88 +175,148 @@ pub fn execute_flat(
     Ok(FlatOutcome { iterations, fabric_cycles: model.total_cycles(iterations), loads, stores })
 }
 
-/// The bit-level reference executor: identical contract to [`execute`],
-/// but functional behaviour comes from evaluating the mapped LUT
-/// netlist every iteration. Kept as the cross-check anchoring the
-/// word-level fast path to the synthesized hardware.
-///
-/// # Errors
-///
-/// Returns [`MemError`] if a generated address leaves the BRAM.
-pub fn execute_netlist(
-    kernel: &warp_cdfg::LoopKernel,
-    netlist: &LutNetlist,
-    model: &ExecModel,
-    env: &KernelEnv,
-    dmem: &mut Bram,
-) -> Result<HwOutcome, MemError> {
-    let iterations = u64::from(env.counter);
-    let mut pointers: BTreeMap<Reg, u32> = env.pointers.clone();
-    let invariants = env.invariants.clone();
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeMap;
 
-    // FF state in netlist FF order.
-    let mut ff_state: Vec<bool> = netlist
-        .ffs()
-        .iter()
-        .map(|f| env.accs.get(&f.reg).copied().unwrap_or(0) >> f.bit & 1 == 1)
-        .collect();
+    use super::*;
+    use mb_isa::{MbFeatures, Reg};
+    use warp_cdfg::{decompile_loop, KernelEnv};
+    use warp_synth::bits::InputWord;
 
-    let mut loads = 0u64;
-    let mut stores = 0u64;
+    /// Result of one hardware invocation, accumulators keyed by register.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    struct HwOutcome {
+        /// Iterations executed (the seeded counter value).
+        iterations: u64,
+        /// Fabric cycles consumed.
+        fabric_cycles: u64,
+        /// Final accumulator values (register → value).
+        accs: BTreeMap<Reg, u32>,
+        /// Loads performed.
+        loads: u64,
+        /// Stores performed.
+        stores: u64,
+    }
 
-    for _ in 0..iterations {
-        // DADG load phase: fetch every (stream, offset) word.
-        let mut load_vals: BTreeMap<(usize, i32), u32> = BTreeMap::new();
-        for (si, s) in kernel.streams.iter().enumerate() {
-            let base = pointers[&s.base];
-            for &off in &s.load_offsets {
-                let v = dmem.read_word(base.wrapping_add(off as u32))?;
-                load_vals.insert((si, off), v);
-                loads += 1;
+    /// [`execute_flat`] behind a register-keyed [`KernelEnv`], the
+    /// interface the kernel interpreter shares. The netlist is unused:
+    /// the signature matches [`execute_netlist`] so the two executors
+    /// are called alike.
+    fn execute(
+        kernel: &warp_cdfg::LoopKernel,
+        _netlist: &LutNetlist,
+        model: &ExecModel,
+        env: &KernelEnv,
+        dmem: &mut Bram,
+    ) -> Result<HwOutcome, MemError> {
+        let mut scratch = ExecScratch::default();
+        let mut ptrs: Vec<u32> = kernel.streams.iter().map(|s| env.pointers[&s.base]).collect();
+        let mut accs: Vec<u32> =
+            kernel.accs.iter().map(|a| env.accs.get(&a.reg).copied().unwrap_or(0)).collect();
+        let invs: Vec<u32> =
+            kernel.invariants.iter().map(|r| env.invariants.get(r).copied().unwrap_or(0)).collect();
+
+        let flat = execute_flat(
+            kernel,
+            model,
+            env.counter,
+            &mut ptrs,
+            &mut accs,
+            &invs,
+            dmem,
+            &mut scratch,
+        )?;
+
+        let accs: BTreeMap<Reg, u32> =
+            kernel.accs.iter().enumerate().map(|(k, a)| (a.reg, accs[k])).collect();
+        Ok(HwOutcome {
+            iterations: flat.iterations,
+            fabric_cycles: flat.fabric_cycles,
+            accs,
+            loads: flat.loads,
+            stores: flat.stores,
+        })
+    }
+
+    /// The bit-level oracle: the same contract as [`execute`], but
+    /// functional behaviour comes from evaluating the mapped LUT
+    /// netlist every iteration, anchoring the word-level path to the
+    /// synthesized hardware.
+    fn execute_netlist(
+        kernel: &warp_cdfg::LoopKernel,
+        netlist: &LutNetlist,
+        model: &ExecModel,
+        env: &KernelEnv,
+        dmem: &mut Bram,
+    ) -> Result<HwOutcome, MemError> {
+        let iterations = u64::from(env.counter);
+        let mut pointers: BTreeMap<Reg, u32> = env.pointers.clone();
+        let invariants = env.invariants.clone();
+
+        // FF state in netlist FF order.
+        let mut ff_state: Vec<bool> = netlist
+            .ffs()
+            .iter()
+            .map(|f| env.accs.get(&f.reg).copied().unwrap_or(0) >> f.bit & 1 == 1)
+            .collect();
+
+        let mut loads = 0u64;
+        let mut stores = 0u64;
+
+        for _ in 0..iterations {
+            // DADG load phase: fetch every (stream, offset) word.
+            let mut load_vals: BTreeMap<(usize, i32), u32> = BTreeMap::new();
+            for (si, s) in kernel.streams.iter().enumerate() {
+                let base = pointers[&s.base];
+                for &off in &s.load_offsets {
+                    let v = dmem.read_word(base.wrapping_add(off as u32))?;
+                    load_vals.insert((si, off), v);
+                    loads += 1;
+                }
+            }
+
+            // Fabric settle.
+            let eval = netlist.eval(
+                |w| match w {
+                    InputWord::Load { stream, offset } => load_vals[&(stream, offset)],
+                    InputWord::Invariant(r) => invariants.get(&r).copied().unwrap_or(0),
+                    InputWord::MacOut(_) => unreachable!("resolved internally"),
+                },
+                &ff_state,
+            );
+
+            // DADG store phase.
+            for (out, s) in netlist.outputs().iter().zip(&kernel.stores) {
+                let base = pointers[&kernel.streams[s.stream].base];
+                dmem.write_word(base.wrapping_add(s.offset as u32), eval.word(&out.bits))?;
+                stores += 1;
+            }
+
+            // Clock the accumulator flip-flops and advance the streams.
+            let next: Vec<bool> = netlist.ffs().iter().map(|f| eval.value(f.d)).collect();
+            ff_state = next;
+            for s in &kernel.streams {
+                let p = pointers.get_mut(&s.base).expect("pointer seeded");
+                *p = p.wrapping_add(s.stride as u32);
             }
         }
 
-        // Fabric settle.
-        let eval = netlist.eval(
-            |w| match w {
-                InputWord::Load { stream, offset } => load_vals[&(stream, offset)],
-                InputWord::Invariant(r) => invariants.get(&r).copied().unwrap_or(0),
-                InputWord::MacOut(_) => unreachable!("resolved internally"),
-            },
-            &ff_state,
-        );
-
-        // DADG store phase.
-        for (out, s) in netlist.outputs().iter().zip(&kernel.stores) {
-            let base = pointers[&kernel.streams[s.stream].base];
-            dmem.write_word(base.wrapping_add(s.offset as u32), eval.word(&out.bits))?;
-            stores += 1;
+        // Reassemble accumulator words from FF state.
+        let mut accs: BTreeMap<Reg, u32> = BTreeMap::new();
+        for (k, f) in netlist.ffs().iter().enumerate() {
+            let e = accs.entry(f.reg).or_insert(0);
+            *e |= u32::from(ff_state[k]) << f.bit;
         }
 
-        // Clock the accumulator flip-flops and advance the streams.
-        let next: Vec<bool> = netlist.ffs().iter().map(|f| eval.value(f.d)).collect();
-        ff_state = next;
-        for s in &kernel.streams {
-            let p = pointers.get_mut(&s.base).expect("pointer seeded");
-            *p = p.wrapping_add(s.stride as u32);
-        }
+        Ok(HwOutcome {
+            iterations,
+            fabric_cycles: model.total_cycles(iterations),
+            accs,
+            loads,
+            stores,
+        })
     }
-
-    // Reassemble accumulator words from FF state.
-    let mut accs: BTreeMap<Reg, u32> = BTreeMap::new();
-    for (k, f) in netlist.ffs().iter().enumerate() {
-        let e = accs.entry(f.reg).or_insert(0);
-        *e |= u32::from(ff_state[k]) << f.bit;
-    }
-
-    Ok(HwOutcome { iterations, fabric_cycles: model.total_cycles(iterations), accs, loads, stores })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mb_isa::MbFeatures;
-    use warp_cdfg::decompile_loop;
 
     /// Hardware execution must equal the kernel interpreter (and hence,
     /// via the decompiler tests, software execution) on real workloads.

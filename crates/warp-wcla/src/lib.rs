@@ -38,7 +38,7 @@ use warp_synth::map::{MapCache, MapWork};
 use warp_synth::{LutNetlist, SynthReport};
 
 pub use device::{WclaDevice, WclaStats, WCLA_BASE, WCLA_WINDOW};
-pub use executor::{ExecModel, HwOutcome};
+pub use executor::ExecModel;
 pub use patch::{apply_patch, stub_base_for, PatchPlan, STUB_GAP_WORDS};
 
 /// Memoization caches spanning the whole CAD back end: technology

@@ -5,23 +5,25 @@
 //! cargo run --release --example online_warp
 //! ```
 
+use std::sync::Arc;
+
 use mb_isa::MbFeatures;
-use warp_online::{NeverPolicy, OnlineConfig, Orchestrator, ThresholdPolicy, TopKPolicy};
+use warp_online::{NeverPolicy, OnlineConfig, OnlineSession, ThresholdPolicy, TopKPolicy};
 
 fn main() {
     // Part 1: a single-kernel workload, executed three times on one
     // timeline. The profiler detects the kernel mid-first-run, the
     // OCPM's CAD budget elapses in simulated time, the binary is
     // patched mid-run, and later runs start warped.
-    let built = workloads::by_name("brev").unwrap().build(MbFeatures::paper_default());
+    let built = Arc::new(workloads::by_name("brev").unwrap().build(MbFeatures::paper_default()));
     let config = OnlineConfig { repeats: 3, ..OnlineConfig::default() };
 
     println!("online-warping `brev` (3 repeats on one timeline)");
-    let report = Orchestrator::new(&built, config.clone())
+    let report = OnlineSession::new(Arc::clone(&built), config.clone())
         .with_policy(TopKPolicy { k: 1, min_count: 512 })
         .run()
         .expect("online run succeeds");
-    let software = Orchestrator::new(&built, config)
+    let software = OnlineSession::new(built, config)
         .with_policy(NeverPolicy)
         .run()
         .expect("software-only arm succeeds");
@@ -45,15 +47,16 @@ fn main() {
     // evicted, and the runtime re-warps to the new kernel; the A → A'
     // re-warp reuses phase A's mapped clusters and placement, so its
     // CAD charge is a fraction of a from-scratch compile.
-    let phased = workloads::phased::build_scaled(MbFeatures::paper_default(), 300, 150, 700);
+    let phased =
+        Arc::new(workloads::phased::build_scaled(MbFeatures::paper_default(), 300, 150, 700));
     let config = OnlineConfig { decay_interval: 8, ..OnlineConfig::default() };
 
     println!("online-warping `phased` (hot loop shifts mid-run)");
-    let report = Orchestrator::new(&phased, config.clone())
+    let report = OnlineSession::new(Arc::clone(&phased), config.clone())
         .with_policy(ThresholdPolicy { min_count: 3000 })
         .run()
         .expect("phased online run succeeds");
-    let software = Orchestrator::new(&phased, config)
+    let software = OnlineSession::new(phased, config)
         .with_policy(NeverPolicy)
         .run()
         .expect("phased software arm succeeds");

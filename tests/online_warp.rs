@@ -9,7 +9,7 @@
 //!    [`ExecModel`](warp_mb::warp_wcla::ExecModel) cycles/iteration),
 //!    and the end-to-end online speedup must sit in the band the
 //!    offline amortization model predicts;
-//! 2. **mid-run patch invalidation** — the orchestrator's hot patch
+//! 2. **mid-run patch invalidation** — the online runtime's hot patch
 //!    must behave identically with the pre-decoded fetch store on and
 //!    off (the `tests/sim_fast_path.rs` contract, replayed from inside
 //!    the online runtime);
@@ -28,15 +28,30 @@
 //!    identical under `WARP_CAD_THREADS=1` and `=4`: background CAD
 //!    workers trade host wall-clock only, never modeled cycles.
 
+use std::sync::Arc;
+
 use mb_isa::MbFeatures;
 use warp_bench::online::offline_reference;
-use warp_mb::warp_online::{NeverPolicy, OnlineConfig, Orchestrator, ThresholdPolicy, TopKPolicy};
+use warp_mb::warp_online::{
+    NeverPolicy, OnlineConfig, OnlineError, OnlineReport, OnlineSession, ThresholdPolicy,
+    TopKPolicy, WarpPolicy,
+};
+use warp_mb::workloads::BuiltWorkload;
 use warp_mb::{mb_sim, workloads};
+
+/// The online runtime driven to completion on `built` under `policy`.
+fn online(
+    built: &Arc<BuiltWorkload>,
+    config: OnlineConfig,
+    policy: impl WarpPolicy + 'static,
+) -> Result<OnlineReport, OnlineError> {
+    OnlineSession::new(Arc::clone(built), config).with_policy(policy).run()
+}
 
 #[test]
 fn online_converges_to_the_offline_pipeline_on_every_single_kernel_workload() {
     for workload in workloads::all().into_iter().filter(|w| w.name != "phased") {
-        let built = workload.build(MbFeatures::paper_default());
+        let built = Arc::new(workload.build(MbFeatures::paper_default()));
 
         // Offline staged reference with the OCPM clock pre-scaled so
         // the warp lands within a few repeats — the same helper the
@@ -53,10 +68,8 @@ fn online_converges_to_the_offline_pipeline_on_every_single_kernel_workload() {
             repeats,
             ..OnlineConfig::default()
         };
-        let report = Orchestrator::new(&built, config)
-            .with_policy(TopKPolicy { k: 1, min_count: offline.kernel_heat })
-            .run()
-            .unwrap();
+        let report =
+            online(&built, config, TopKPolicy { k: 1, min_count: offline.kernel_heat }).unwrap();
 
         // Exactly one warp, of exactly the offline kernel...
         assert_eq!(report.events.len(), 1, "{}", built.name);
@@ -125,17 +138,14 @@ fn orchestrator_patch_replays_the_fast_path_invalidation_contract() {
     // The same online run with the pre-decoded fetch store on and off:
     // the mid-run hot patch must be invisible to simulated results —
     // identical timeline, identical warp events, identical totals.
-    let built = workloads::by_name("brev").unwrap().build(MbFeatures::paper_default());
+    let built = Arc::new(workloads::by_name("brev").unwrap().build(MbFeatures::paper_default()));
     let run = |predecode: bool| {
         let config = OnlineConfig {
             mb: mb_sim::MbConfig::paper_default().with_predecode(predecode),
             repeats: 2,
             ..OnlineConfig::default()
         };
-        Orchestrator::new(&built, config)
-            .with_policy(TopKPolicy { k: 1, min_count: 512 })
-            .run()
-            .unwrap()
+        online(&built, config, TopKPolicy { k: 1, min_count: 512 }).unwrap()
     };
     let fast = run(true);
     let reference = run(false);
@@ -152,7 +162,7 @@ fn orchestrator_patch_replays_the_fast_path_invalidation_contract() {
 #[test]
 fn phased_workload_rewarps_with_eviction() {
     let features = MbFeatures::paper_default();
-    let built = workloads::phased::build_scaled(features, 300, 150, 700);
+    let built = Arc::new(workloads::phased::build_scaled(features, 300, 150, 700));
     let [kernel_a, kernel_a2, kernel_b] = workloads::phased::phase_kernels(&built);
 
     // The three phase kernels are genuinely different circuits.
@@ -170,10 +180,7 @@ fn phased_workload_rewarps_with_eviction() {
         repeats: 1,
         ..OnlineConfig::default()
     };
-    let report = Orchestrator::new(&built, config.clone())
-        .with_policy(ThresholdPolicy { min_count: 3000 })
-        .run()
-        .unwrap();
+    let report = online(&built, config.clone(), ThresholdPolicy { min_count: 3000 }).unwrap();
 
     assert_eq!(
         report.events.len(),
@@ -233,7 +240,7 @@ fn phased_workload_rewarps_with_eviction() {
     // Results were verified bit-identical to the golden model inside
     // the run; the warped timeline must also beat the software-only
     // arm of the A-B (same slice scheduler, NeverPolicy).
-    let software = Orchestrator::new(&built, config).with_policy(NeverPolicy).run().unwrap();
+    let software = online(&built, config, NeverPolicy).unwrap();
     assert!(software.events.is_empty());
     assert!(
         report.cycles < software.cycles,
@@ -296,7 +303,8 @@ fn incremental_rewarp_is_bit_identical_to_from_scratch() {
 
 #[test]
 fn online_timeline_is_identical_across_cad_thread_counts() {
-    let built = workloads::phased::build_scaled(MbFeatures::paper_default(), 150, 75, 350);
+    let built =
+        Arc::new(workloads::phased::build_scaled(MbFeatures::paper_default(), 150, 75, 350));
     let run = |threads: &str| {
         std::env::set_var(warp_mb::warp_core::CAD_THREADS_ENV, threads);
         let config = OnlineConfig {
@@ -305,10 +313,7 @@ fn online_timeline_is_identical_across_cad_thread_counts() {
             repeats: 1,
             ..OnlineConfig::default()
         };
-        let report = Orchestrator::new(&built, config)
-            .with_policy(ThresholdPolicy { min_count: 1500 })
-            .run()
-            .unwrap();
+        let report = online(&built, config, ThresholdPolicy { min_count: 1500 }).unwrap();
         std::env::remove_var(warp_mb::warp_core::CAD_THREADS_ENV);
         report
     };
@@ -333,9 +338,9 @@ fn online_error_chain_reaches_the_leaf_cause() {
     // BudgetExhausted; a golden-model mismatch would surface Verify.
     // Here: drive the budget to (effectively) zero and check the
     // chain-free variant, then check a wrapped chain end-to-end.
-    let built = workloads::by_name("brev").unwrap().build(MbFeatures::paper_default());
+    let built = Arc::new(workloads::by_name("brev").unwrap().build(MbFeatures::paper_default()));
     let config = OnlineConfig { max_cycles: 1, ..OnlineConfig::default() };
-    let err = Orchestrator::new(&built, config).with_policy(NeverPolicy).run().unwrap_err();
+    let err = online(&built, config, NeverPolicy).unwrap_err();
     assert!(err.to_string().contains("budget"));
     assert!(err.source().is_none());
 
