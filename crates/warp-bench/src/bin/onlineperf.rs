@@ -13,8 +13,12 @@
 //! per-event incremental-CAD counters and the `rewarp_cad_ratio`
 //! aggregate) is described in the README's "Online warp runtime"
 //! section.
+//!
+//! After writing the document the run exits nonzero naming every gate
+//! `OnlinePerf::check` finds violated; `ONLINEPERF_REWARP_RATIO`
+//! overrides its 0.5 re-warp ceiling.
 
-use warp_bench::measure::BenchCli;
+use warp_bench::measure::{self, BenchCli};
 use warp_bench::online;
 
 fn main() {
@@ -31,4 +35,5 @@ fn main() {
     );
 
     cli.write_json(&perf.to_json());
+    measure::exit_on_violations(&perf.check(measure::env_gate));
 }

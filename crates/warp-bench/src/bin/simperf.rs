@@ -19,8 +19,12 @@
 //! advisory floor are listed in the JSON `below_floor` array, each with
 //! its `floor_waiver` diagnosis when one is recorded; stderr warnings
 //! fire only for *new* entrants without a waiver.
+//!
+//! After writing the document the run exits nonzero naming every gate
+//! `SimPerf::check` finds violated; the `SIMPERF_*_FLOOR` floors gate
+//! only when set.
 
-use warp_bench::measure::BenchCli;
+use warp_bench::measure::{self, BenchCli};
 use warp_bench::simperf;
 
 fn main() {
@@ -75,4 +79,5 @@ fn main() {
     }
 
     cli.write_json(&perf.to_json());
+    measure::exit_on_violations(&perf.check(measure::env_gate));
 }

@@ -13,8 +13,9 @@
 //! | `onlineperf` | Online-runtime timeline (time-to-warp, re-warps) → `BENCH_online.json` |
 //! | `serveperf` | Multi-session serving throughput (sessions/s, fleet Minsn/s, cache hit rate) → `BENCH_serve.json` |
 //!
-//! Criterion benches (`cargo bench -p warp-bench`) measure the CAD
-//! pipeline stages, the simulators, and the end-to-end warp flow.
+//! Each of the three perf harnesses writes its document, then applies
+//! that document's gates (`SimPerf::check`, `OnlinePerf::check`,
+//! `ServePerf::check`) and exits nonzero naming every violation.
 
 // `deny` rather than `forbid`: the allocation-counting shim in
 // `alloc` is the one sanctioned `unsafe` (a pass-through

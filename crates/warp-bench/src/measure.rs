@@ -7,6 +7,25 @@
 
 use std::time::Instant;
 
+/// The gate lookup the harness binaries pass to `check`: the number the
+/// environment variable `name` holds, if it is set to one.
+#[must_use]
+pub fn env_gate(name: &str) -> Option<f64> {
+    std::env::var(name).ok().and_then(|v| v.parse::<f64>().ok())
+}
+
+/// Names every gate violation on stderr and exits nonzero if there is
+/// one. Call it after [`BenchCli::write_json`]: a failed run keeps its
+/// document.
+pub fn exit_on_violations(violations: &[String]) {
+    for violation in violations {
+        eprintln!("gate failed: {violation}");
+    }
+    if !violations.is_empty() {
+        std::process::exit(1);
+    }
+}
+
 /// Best-of-`reps` wall-clock seconds of `run`. Single runs are ~1 ms,
 /// so repetitions are cheap and taking the minimum filters scheduler
 /// noise — the same methodology for every mode keeps ratios honest.
@@ -74,6 +93,38 @@ impl BenchCli {
         std::fs::write(&self.out_path, json)
             .unwrap_or_else(|e| panic!("cannot write {}: {e}", self.out_path));
         println!("wrote {} ({} bytes)", self.out_path, json.len());
+    }
+}
+
+/// One row of a harness's gate table: the gates set (standing in for
+/// [`env_gate`]), the text its one violation carries, and the breakage.
+#[cfg(test)]
+pub(crate) type GateCase<T> = (&'static [(&'static str, f64)], &'static str, fn(&mut T));
+
+/// Runs a gate table against a fixture that passes `check`. Each
+/// case's gates alone must pass the fixture; after its breakage `check`
+/// must report exactly one violation, carrying the case's text, and
+/// none once the case's gates are unset.
+#[cfg(test)]
+pub(crate) fn assert_gate_table<T: Clone>(
+    fixture: &T,
+    check: impl Fn(&T, &dyn Fn(&str) -> Option<f64>) -> Vec<String>,
+    cases: &[GateCase<T>],
+) {
+    assert_eq!(check(fixture, &|_| None), Vec::<String>::new());
+    for (gates, expected, breaks) in cases {
+        let gate = |name: &str| gates.iter().find(|(g, _)| *g == name).map(|(_, v)| *v);
+        let mut broken = fixture.clone();
+        assert!(check(&broken, &gate).is_empty(), "{expected}: the gates alone must pass");
+        breaks(&mut broken);
+        let violations = check(&broken, &gate);
+        assert!(
+            violations.len() == 1 && violations[0].contains(expected),
+            "{expected}: {violations:?}"
+        );
+        if !gates.is_empty() {
+            assert!(check(&broken, &|_| None).is_empty(), "{expected}: unset gates must pass");
+        }
     }
 }
 

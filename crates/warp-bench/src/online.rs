@@ -129,6 +129,46 @@ impl OnlinePerf {
         Some(second.cad_cycles as f64 / first.cad_cycles.max(1) as f64)
     }
 
+    /// The `BENCH_online.json` gates, one message per violation. Every
+    /// number is simulated, so every gate always applies; the re-warp
+    /// ceiling is what `gate` returns for `ONLINEPERF_REWARP_RATIO`, or 0.5.
+    #[must_use]
+    pub fn check(&self, gate: impl Fn(&str) -> Option<f64>) -> Vec<String> {
+        let mut violations = Vec::new();
+        let mut require = |ok: bool, violation: String| {
+            if !ok {
+                violations.push(violation);
+            }
+        };
+        for w in &self.workloads {
+            let (name, speedup) = (&w.name, w.online_speedup());
+            require(!w.events.is_empty(), format!("{name} never warped"));
+            require(speedup > 1.0, format!("{name}: online speedup {speedup:.3} <= 1"));
+            require(w.time_to_first_warp.is_some(), format!("{name}: no time to first warp"));
+            for e in &w.events {
+                let lands = e.patched_cycle >= e.detected_cycle + e.cad_cycles;
+                let overlaps = e.cad_overlap_cycles >= e.cad_cycles;
+                let counts =
+                    e.reused_clusters <= e.total_clusters && e.rerouted_nets <= e.total_nets;
+                require(lands && overlaps && counts, format!("{name}: inconsistent {e:?}"));
+            }
+        }
+        match self.workloads.iter().find(|w| w.name == "phased").map(|w| &w.events[..]) {
+            Some([_, a2, b]) => {
+                require(a2.evicted.is_some() && b.evicted.is_some(), "phased: no eviction".into());
+                require(a2.reused_clusters > 0, "phased: A' reused none of A's clusters".into());
+            }
+            Some(events) => require(false, format!("phased: {} warp events, not 3", events.len())),
+            None => require(false, "no phased workload".into()),
+        }
+        // `None` only when the match above already failed.
+        if let Some(ratio) = self.rewarp_cad_ratio() {
+            let ceiling = gate("ONLINEPERF_REWARP_RATIO").unwrap_or(0.5);
+            require(ratio <= ceiling, format!("ONLINEPERF_REWARP_RATIO: {ratio:.4} > {ceiling}"));
+        }
+        violations
+    }
+
     /// Renders the `BENCH_online.json` document.
     #[must_use]
     pub fn to_json(&self) -> String {
@@ -450,6 +490,7 @@ pub fn measure_suite(smoke: bool) -> OnlinePerf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::measure::assert_gate_table;
 
     fn synthetic() -> OnlinePerf {
         OnlinePerf {
@@ -490,6 +531,20 @@ mod tests {
                         cad_overlap_cycles: 10_000,
                         evicted: Some((0x14, 0xA4)),
                     },
+                    EventPerf {
+                        head: 0x200,
+                        tail: 0x240,
+                        detected_cycle: 64_000,
+                        cad_cycles: 14_000,
+                        patched_cycle: 79_000,
+                        cache_hit: false,
+                        reused_clusters: 0,
+                        total_clusters: 16,
+                        rerouted_nets: 4,
+                        total_nets: 4,
+                        cad_overlap_cycles: 15_000,
+                        evicted: Some((0x100, 0x140)),
+                    },
                 ],
                 offline_steady_speedup: 16.9,
                 offline_break_even_runs: 1,
@@ -518,8 +573,50 @@ mod tests {
         let p = synthetic();
         assert!((p.workloads[0].online_speedup() - 2.5).abs() < 1e-9);
         assert!((p.mean_online_speedup() - 2.5).abs() < 1e-9);
-        assert_eq!(p.total_events(), 2);
+        assert_eq!(p.total_events(), 3);
         assert!((p.rewarp_cad_ratio().unwrap() - 0.25).abs() < 1e-9);
+    }
+
+    #[test]
+    fn check_reports_exactly_the_broken_gate() {
+        assert_gate_table(
+            &synthetic(),
+            |p, gate| p.check(gate),
+            &[
+                (&[], "brev never warped", |p| {
+                    let mut never = p.workloads[0].clone();
+                    never.name = "brev".into();
+                    never.events.clear();
+                    p.workloads.push(never);
+                }),
+                (&[], "online speedup 0.667", |p| p.workloads[0].online_cycles = 300_000),
+                (&[], "no time to first warp", |p| p.workloads[0].time_to_first_warp = None),
+                (&[], "patched_cycle: 30000", |p| {
+                    p.workloads[0].events[0].patched_cycle = 30_000;
+                }),
+                (&[], "cad_overlap_cycles: 10000", |p| {
+                    p.workloads[0].events[0].cad_overlap_cycles = 10_000;
+                }),
+                (&[], "reused_clusters: 40", |p| p.workloads[0].events[0].reused_clusters = 40),
+                (&[], "rerouted_nets: 9", |p| p.workloads[0].events[0].rerouted_nets = 9),
+                (&[], "no phased workload", |p| p.workloads[0].name = "brev".into()),
+                (&[], "2 warp events, not 3", |p| p.workloads[0].events.truncate(2)),
+                (&[], "phased: no eviction", |p| p.workloads[0].events[2].evicted = None),
+                (&[], "reused none of A's clusters", |p| {
+                    p.workloads[0].events[1].reused_clusters = 0;
+                }),
+                // The ceiling defaults to 0.5 when the gate is unset...
+                (&[], "ONLINEPERF_REWARP_RATIO", |p| p.workloads[0].events[1].cad_cycles = 10_000),
+                // ...and the gate tightens it.
+                (
+                    &[("ONLINEPERF_REWARP_RATIO", 0.3)],
+                    "ONLINEPERF_REWARP_RATIO: 0.4000 > 0.3",
+                    |p| {
+                        p.workloads[0].events[1].cad_cycles = 5_600;
+                    },
+                ),
+            ],
+        );
     }
 
     #[test]

@@ -345,6 +345,50 @@ impl SimPerf {
         self.below_floor().into_iter().filter(|(name, _)| floor_waiver(name).is_none()).collect()
     }
 
+    /// The `BENCH_sim.json` gates, one message per violation. Each
+    /// wall-clock floor gates only when `gate` returns a value for its
+    /// variable; `SIMPERF_TRACE_FLOOR` also fails unwaived entrants.
+    #[must_use]
+    pub fn check(&self, gate: impl Fn(&str) -> Option<f64>) -> Vec<String> {
+        let mut violations = Vec::new();
+        let mut require = |ok: bool, violation: String| {
+            if !ok {
+                violations.push(violation);
+            }
+        };
+        require(!self.workloads.is_empty(), "no workloads".into());
+        for w in &self.workloads {
+            let modes = [w.reference, w.predecoded, w.block, w.trace, w.summary, w.full_trace];
+            let seconds = modes.map(|m| m.seconds);
+            require(seconds.iter().all(|&s| s > 0.0), format!("{}: seconds {seconds:?}", w.name));
+            let (block, trace) = (w.block_speedup(), w.trace_speedup());
+            require(block > 0.0 && trace > 0.0, format!("{}: speedups {block} {trace}", w.name));
+            let coverage = [w.step_fraction, w.block_fraction, w.trace_fraction];
+            let partition = (coverage.iter().sum::<f64>() - 1.0).abs() < 1e-3;
+            let in_range = coverage.iter().all(|f| (0.0..=1.0).contains(f));
+            require(in_range && partition, format!("{}: engine_coverage {coverage:?}", w.name));
+        }
+        require(!self.lockstep.workloads.is_empty(), "no lockstep workloads".into());
+        for w in &self.lockstep.workloads {
+            require(w.speedup() > 0.0, format!("{}: lockstep speedup {}", w.name, w.speedup()));
+        }
+        for (name, speedup) in [
+            ("SIMPERF_SPEEDUP_FLOOR", self.aggregate_predecoded_speedup()),
+            ("SIMPERF_BLOCK_FLOOR", self.aggregate_block_speedup()),
+            ("SIMPERF_TRACE_FLOOR", self.aggregate_trace_speedup()),
+            ("SIMPERF_LANES_FLOOR", self.lockstep.aggregate_speedup()),
+        ] {
+            if let Some(floor) = gate(name) {
+                require(speedup >= floor, format!("{name}: aggregate {speedup:.2}x < {floor}x"));
+            }
+        }
+        if gate("SIMPERF_TRACE_FLOOR").is_some() {
+            let entrants = self.new_below_floor();
+            require(entrants.is_empty(), format!("SIMPERF_TRACE_FLOOR: unwaived {entrants:?}"));
+        }
+        violations
+    }
+
     /// Renders the `BENCH_sim.json` document (schema
     /// `warp-mb/bench-sim/v6`: v5 — the `lockstep` mode block, the
     /// `below_floor` outlier list, and the per-workload
@@ -775,6 +819,7 @@ pub fn measure_suite(reps: usize, smoke: bool) -> SimPerf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::measure::assert_gate_table;
 
     fn synthetic() -> SimPerf {
         let mode = |s: f64, e: Engine| ModePerf::from_best(s, 1_000_000, e);
@@ -864,6 +909,46 @@ mod tests {
         p.workloads[0].trace = ModePerf::from_best(0.045, 1_000_000, Engine::Trace);
         assert_eq!(p.new_below_floor(), vec![("matmul", p.workloads[0].trace_speedup())]);
         assert!(p.to_json().contains(r#""name": "matmul", "trace_speedup_vs_block": 1.111, "floor": 1.5, "floor_waiver": null"#));
+    }
+
+    #[test]
+    fn check_reports_exactly_the_broken_gate() {
+        assert_gate_table(
+            &synthetic(),
+            |p, gate| p.check(gate),
+            &[
+                (&[], "no workloads", |p| p.workloads.clear()),
+                (&[], "brev: seconds", |p| p.workloads[0].summary.seconds = 0.0),
+                (&[], "brev: speedups 0 inf", |p| p.workloads[0].block.seconds = f64::INFINITY),
+                (&[], "brev: speedups 2 0", |p| p.workloads[0].trace.seconds = f64::INFINITY),
+                (&[], "engine_coverage [-0.02", |p| {
+                    p.workloads[0].step_fraction = -0.02;
+                    p.workloads[0].block_fraction = 0.12;
+                }),
+                (&[], "engine_coverage [0.02, 0.08, 0.5]", |p| p.workloads[0].trace_fraction = 0.5),
+                (&[], "no lockstep workloads", |p| p.lockstep.workloads.clear()),
+                (&[], "lockstep speedup", |p| p.lockstep.workloads[0].sequential.seconds = 0.0),
+                (&[("SIMPERF_SPEEDUP_FLOOR", 2.0)], "SIMPERF_SPEEDUP_FLOOR", |p| {
+                    p.workloads[0].reference.seconds = 0.15;
+                }),
+                (&[("SIMPERF_BLOCK_FLOOR", 1.25)], "SIMPERF_BLOCK_FLOOR", |p| {
+                    p.workloads[0].predecoded.seconds = 0.055;
+                }),
+                // brev is waived, so only the aggregate floor trips.
+                (&[("SIMPERF_TRACE_FLOOR", 1.5)], "SIMPERF_TRACE_FLOOR: aggregate 1.11x", |p| {
+                    p.workloads[0].trace.seconds = 0.045;
+                }),
+                // 1.11x clears a 1.0x aggregate floor but not the unwaived
+                // per-workload one.
+                (&[("SIMPERF_TRACE_FLOOR", 1.0)], "unwaived [(\"matmul\", 1.11", |p| {
+                    p.workloads[0].name = "matmul".into();
+                    p.workloads[0].trace.seconds = 0.045;
+                }),
+                (&[("SIMPERF_LANES_FLOOR", 2.0)], "SIMPERF_LANES_FLOOR", |p| {
+                    p.lockstep.workloads[0].lockstep.seconds = 0.15;
+                }),
+            ],
+        );
     }
 
     #[test]
