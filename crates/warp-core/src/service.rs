@@ -14,10 +14,17 @@
 //! simulated-time boundaries (see `warp-online`'s session), which
 //! is what keeps reports byte-identical across `WARP_CAD_THREADS`
 //! settings.
+//!
+//! A service also owns one host [`FabricMemo`]: compiles whose modeled
+//! caches are built over it ([`CadCaches::over`](warp_wcla::CadCaches::over))
+//! place and route each netlist once per service, however many sessions
+//! warp it, without changing any modeled cost.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+
+use warp_fabric::FabricMemo;
 
 /// Environment variable selecting the worker-pool size (default 1;
 /// clamped to `1..=16`). The modeled timeline is identical for every
@@ -91,14 +98,17 @@ impl<T> CadHandle<T> {
     }
 }
 
-/// A small pool of background CAD workers.
+/// A small pool of background CAD workers, plus the host
+/// [`FabricMemo`] its compiles share.
 ///
 /// Dropping the service stops the workers after their current job; jobs
 /// still queued are discarded (their handles never resolve), so keep
-/// the service alive as long as any handle is outstanding.
+/// the service alive as long as any handle is outstanding. The memo is
+/// unbounded and lives as long as the service.
 pub struct CadService {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
+    memo: Arc<FabricMemo>,
 }
 
 impl CadService {
@@ -116,7 +126,7 @@ impl CadService {
                     .expect("spawn CAD worker")
             })
             .collect();
-        CadService { shared, workers }
+        CadService { shared, workers, memo: Arc::default() }
     }
 
     /// Creates a service sized by [`CAD_THREADS_ENV`] (default 1).
@@ -133,6 +143,13 @@ impl CadService {
     #[must_use]
     pub fn threads(&self) -> usize {
         self.workers.len()
+    }
+
+    /// The host memo of placements and routings that compiles on this
+    /// service share when their modeled caches are built over it.
+    #[must_use]
+    pub fn memo(&self) -> &Arc<FabricMemo> {
+        &self.memo
     }
 
     /// Queues `job` for execution on a worker and returns its handle.

@@ -27,12 +27,15 @@
 //! The top-level entry point is [`compile`], which runs
 //! place → route → bitstream → timing and retries with wider channels if
 //! routing fails (the channel-width sweep of the DAC'04 evaluation).
+//! [`compile_cached`] adds the modeled reuse caches ([`FabricCaches`])
+//! and, beneath them, an optional host memo ([`FabricMemo`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arch;
 pub mod bitstream;
+pub mod memo;
 pub mod place;
 pub mod route;
 pub mod sim;
@@ -40,28 +43,34 @@ pub mod timing;
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use warp_synth::LutNetlist;
 
 pub use arch::FabricConfig;
 pub use bitstream::Bitstream;
+pub use memo::{FabricMemo, MemoStats};
 pub use place::{PlaceCache, Placement};
 pub use route::{RouteCache, RouteStats};
 pub use sim::FabricSim;
 pub use timing::TimingReport;
 
-/// Memoization caches for the fabric back-end stages.
+/// Memoization caches for the fabric back-end stages: the model of the
+/// on-chip tools' reuse, optionally over a host [`FabricMemo`].
 ///
 /// Compiling with caches never changes the result — every cached
 /// artifact is the memoized output of a pure function of the netlist
 /// structure and fabric geometry, verified structurally on lookup — it
 /// only changes how much work [`compile_cached`] reports having done.
+/// The memo changes neither: it only spares the host the placer and
+/// router runs it has already seen.
 #[derive(Debug, Default)]
 pub struct FabricCaches {
     /// Memoized placements keyed by netlist structure.
     pub place: PlaceCache,
     /// Memoized first-pass net routes keyed by geometry and pins.
     pub route: RouteCache,
+    memo: Option<Arc<FabricMemo>>,
 }
 
 impl FabricCaches {
@@ -69,6 +78,12 @@ impl FabricCaches {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates empty caches over a shared host `memo`.
+    #[must_use]
+    pub fn over(memo: Arc<FabricMemo>) -> Self {
+        FabricCaches { memo: Some(memo), ..Self::default() }
     }
 }
 
@@ -151,7 +166,8 @@ pub fn compile(netlist: &LutNetlist, base: &FabricConfig) -> Result<CompiledCirc
 /// [`compile`] with memoization: restores placements and first-pass net
 /// routes from `caches` when the structure matches, and reports the
 /// work actually performed. The compiled circuit is bit-identical with
-/// or without caches.
+/// or without caches, and the circuit and the work are the same with or
+/// without a memo beneath them.
 ///
 /// # Errors
 ///
@@ -165,12 +181,13 @@ pub fn compile_cached(
     let mut config = base.clone();
     let mut last_overused = 0;
     let mut work = FabricWork::default();
+    let memo = caches.and_then(|c| c.memo.as_deref());
     for _attempt in 0..5 {
         let (placement, place_work) =
-            place::place_cached(netlist, &config, caches.map(|c| &c.place))?;
+            place::place_cached(netlist, &config, caches.map(|c| &c.place), memo)?;
         work.place_attempts += place_work.attempts;
         work.place_restored = place_work.restored;
-        match route::route_cached(netlist, &placement, &config, caches.map(|c| &c.route)) {
+        match route::route_cached(netlist, &placement, &config, caches.map(|c| &c.route), memo) {
             Ok((routing, route_work)) => {
                 work.routed_wires += route_work.routed_wires;
                 work.nets_restored = route_work.nets_restored;

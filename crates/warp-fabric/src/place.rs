@@ -10,7 +10,9 @@
 //! LUT-to-LUT connectivity, flip-flop D drivers, and grid geometry (the
 //! swap pass is seeded deterministically) — so a [`PlaceCache`] can
 //! memoize whole placements by content hash and restore them
-//! bit-identically when a structurally identical netlist re-warps.
+//! bit-identically when a structurally identical netlist re-warps. The
+//! same key serves a [`FabricMemo`], which keeps placements on the host
+//! without changing the modeled work.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -21,7 +23,7 @@ use warp_synth::map::LutNode;
 use warp_synth::LutNetlist;
 
 use crate::arch::{FabricConfig, SlotId};
-use crate::CompileError;
+use crate::{CompileError, FabricMemo};
 
 /// Where every netlist node landed.
 #[derive(Clone, Debug, Default)]
@@ -77,7 +79,7 @@ fn wirelength(
 /// (non-LUT fan-ins are level-0 and invisible to the cost function),
 /// flip-flops by their D-driver rank, plus the grid geometry.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
-struct PlaceView {
+pub(crate) struct PlaceView {
     rows: usize,
     cols: usize,
     luts: Vec<Vec<u32>>,
@@ -108,18 +110,39 @@ fn placement_view(netlist: &LutNetlist, config: &FabricConfig) -> PlaceView {
 
 /// A memoized whole placement: slots by LUT rank and FF index.
 #[derive(Clone, Debug)]
-struct CachedPlacement {
+pub(crate) struct CachedPlacement {
     view: PlaceView,
     lut_slots: Vec<SlotId>,
     ff_slots: Vec<SlotId>,
 }
 
-/// Memoized placements, shared across compiles.
+impl CachedPlacement {
+    fn of(view: PlaceView, lut_ids: &[u32], placement: &Placement) -> Self {
+        let lut_slots = lut_ids.iter().map(|id| placement.lut_slot[id]).collect();
+        let ff_slots = (0..view.ffs.len()).map(|k| placement.ff_slot[&k]).collect();
+        CachedPlacement { view, lut_slots, ff_slots }
+    }
+
+    /// The placement for a netlist whose LUTs, in node order, are
+    /// `lut_ids`.
+    fn restore(&self, lut_ids: &[u32]) -> Placement {
+        Placement {
+            lut_slot: lut_ids.iter().copied().zip(self.lut_slots.iter().copied()).collect(),
+            ff_slot: self.ff_slots.iter().copied().enumerate().collect(),
+        }
+    }
+}
+
+/// Memoized placements, shared across compiles: the model of the
+/// on-chip placer's reuse, and the store behind a [`FabricMemo`]'s
+/// placements.
 ///
-/// Purely an accelerator: [`place_cached`] restores the exact placement
-/// [`place`] would compute (the placer is deterministic), so only the
-/// reported [`PlaceWork`] changes. Entries are verified structurally on
-/// hit; a hash collision degrades to a miss.
+/// [`place_cached`] restores the exact placement [`place`] would compute
+/// (the placer is deterministic), so only the reported [`PlaceWork`]
+/// changes: a restored placement is placer work the lean processor
+/// skips, and the cost model charges only the work that ran. Entries
+/// are verified structurally on hit; a hash collision degrades to a
+/// miss.
 #[derive(Debug, Default)]
 pub struct PlaceCache {
     slots: Mutex<HashMap<u64, CachedPlacement>>,
@@ -148,12 +171,12 @@ impl PlaceCache {
         self.len() == 0
     }
 
-    fn lookup(&self, key: u64, view: &PlaceView) -> Option<CachedPlacement> {
+    pub(crate) fn lookup(&self, key: u64, view: &PlaceView) -> Option<CachedPlacement> {
         let slots = self.slots.lock().expect("place cache lock");
         slots.get(&key).filter(|c| &c.view == view).cloned()
     }
 
-    fn insert(&self, key: u64, cached: CachedPlacement) {
+    pub(crate) fn insert(&self, key: u64, cached: CachedPlacement) {
         self.slots.lock().expect("place cache lock").entry(key).or_insert(cached);
     }
 }
@@ -172,7 +195,11 @@ pub struct PlaceWork {
 /// when a structurally identical netlist was placed before (and
 /// memoizing fresh placements).
 ///
-/// Bit-identical to [`place`] either way — only [`PlaceWork`] changes.
+/// On a `cache` miss, a `memo` that holds the placement supplies it in
+/// place of the placer; the reported work is the placer's either way.
+///
+/// Bit-identical to [`place`] either way — only [`PlaceWork`] changes,
+/// and only with the cache.
 ///
 /// # Errors
 ///
@@ -182,6 +209,7 @@ pub fn place_cached(
     netlist: &LutNetlist,
     config: &FabricConfig,
     cache: Option<&PlaceCache>,
+    memo: Option<&FabricMemo>,
 ) -> Result<(Placement, PlaceWork), CompileError> {
     let lut_ids: Vec<u32> = netlist
         .nodes()
@@ -202,22 +230,23 @@ pub fn place_cached(
         h.finish()
     };
     if let Some(hit) = cache.and_then(|c| c.lookup(key, &view)) {
-        let mut placement = Placement::default();
-        for (rank, &id) in lut_ids.iter().enumerate() {
-            placement.lut_slot.insert(id, hit.lut_slots[rank]);
-        }
-        for (k, &s) in hit.ff_slots.iter().enumerate() {
-            placement.ff_slot.insert(k, s);
-        }
-        return Ok((placement, PlaceWork { attempts: 0, restored: true }));
+        return Ok((hit.restore(&lut_ids), PlaceWork { attempts: 0, restored: true }));
     }
 
-    let placement = place(netlist, config)?;
+    let (placement, cached) = match memo.and_then(|m| m.placement(key, &view)) {
+        Some(hit) => (hit.restore(&lut_ids), hit),
+        None => {
+            let placement = place(netlist, config)?;
+            let cached = CachedPlacement::of(view, &lut_ids, &placement);
+            if let Some(m) = memo {
+                m.keep_placement(key, cached.clone());
+            }
+            (placement, cached)
+        }
+    };
     let attempts = if lut_ids.len() >= 2 { (lut_ids.len() * 24).min(120_000) as u64 } else { 0 };
     if let Some(c) = cache {
-        let lut_slots = lut_ids.iter().map(|id| placement.lut_slot[id]).collect();
-        let ff_slots = (0..netlist.ffs().len()).map(|k| placement.ff_slot[&k]).collect();
-        c.insert(key, CachedPlacement { view, lut_slots, ff_slots });
+        c.insert(key, cached);
     }
     Ok((placement, PlaceWork { attempts, restored: false }))
 }
@@ -471,13 +500,13 @@ mod tests {
         let fresh = place(&nl, &cfg).unwrap();
 
         let cache = PlaceCache::new();
-        let (first, w1) = place_cached(&nl, &cfg, Some(&cache)).unwrap();
+        let (first, w1) = place_cached(&nl, &cfg, Some(&cache), None).unwrap();
         assert!(!w1.restored);
         assert!(w1.attempts > 0, "the adder has enough LUTs for a swap pass");
         assert_eq!(first.lut_slot, fresh.lut_slot);
         assert_eq!(first.ff_slot, fresh.ff_slot);
 
-        let (second, w2) = place_cached(&nl, &cfg, Some(&cache)).unwrap();
+        let (second, w2) = place_cached(&nl, &cfg, Some(&cache), None).unwrap();
         assert!(w2.restored, "an identical view must restore");
         assert_eq!(w2.attempts, 0);
         assert_eq!(second.lut_slot, fresh.lut_slot);

@@ -16,11 +16,16 @@
 //! path is bit-identical to the one the router would have computed, and
 //! the negotiation iterations that resolve any sharing proceed
 //! identically whether the paths were computed or restored.
+//!
+//! The whole negotiation is likewise a pure function of the geometry
+//! and the ordered net list, which is what lets a
+//! [`FabricMemo`] replay a routing on the host without running the
+//! router (see [`route_cached`]).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::{Hash, Hasher};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use warp_cdfg::fingerprint::Fnv1a;
 use warp_synth::map::LutNode;
@@ -28,6 +33,7 @@ use warp_synth::LutNetlist;
 
 use crate::arch::{FabricConfig, SlotId, WireId, Wires};
 use crate::place::Placement;
+use crate::FabricMemo;
 
 /// Milli-unit base cost of one wire segment.
 const BASE_COST: u64 = 1000;
@@ -91,6 +97,7 @@ pub enum RouteError {
 }
 
 /// A net awaiting routing.
+#[derive(PartialEq, Eq, Hash, Debug)]
 struct PendingNet {
     driver_node: u32,
     driver_slot: SlotId,
@@ -137,14 +144,72 @@ struct CachedNetRoute {
     sinks: Vec<RoutedSink>,
 }
 
-/// Cross-compile cache of first-pass net routes.
+/// Everything the negotiated router reads: the fabric geometry and the
+/// ordered net list [`collect_nets`] builds. The key of a [`FabricMemo`]
+/// routing.
+#[derive(PartialEq, Eq, Hash, Debug)]
+pub(crate) struct RouteKey {
+    rows: usize,
+    cols: usize,
+    tracks: usize,
+    nets: Vec<PendingNet>,
+}
+
+/// A memoized negotiation: its outcome, the wires it traversed over all
+/// iterations as if no net had been restored, and every net's
+/// iteration-0 paths in net order (only the nets iteration 0 finished,
+/// should the search be blocked part-way).
+#[derive(Debug)]
+pub(crate) struct RouteEntry {
+    outcome: Result<Routing, RouteError>,
+    fresh_wires: u64,
+    first_pass: Vec<Vec<RoutedSink>>,
+}
+
+impl RouteEntry {
+    /// Replays iteration 0 against the modeled `cache` in net order, as
+    /// the router would have: a net the cache holds is restored and its
+    /// wires come off the fresh total; any other net's route is
+    /// inserted. The outcome and the reported work therefore equal the
+    /// router's for any cache state.
+    fn replay(
+        &self,
+        key: &RouteKey,
+        config: &FabricConfig,
+        cache: Option<&RouteCache>,
+    ) -> Result<(Routing, RouteWork), RouteError> {
+        let mut work = RouteWork { routed_wires: self.fresh_wires, nets_restored: 0 };
+        if let Some(cache) = cache {
+            for (net, sinks) in key.nets.iter().zip(&self.first_pass) {
+                let net_key = NetKey::of(config, net);
+                if cache.contains(&net_key) {
+                    work.nets_restored += 1;
+                    work.routed_wires -= wires_of(sinks);
+                } else {
+                    cache.insert(net_key, sinks.clone());
+                }
+            }
+        }
+        self.outcome.clone().map(|routing| (routing, work))
+    }
+}
+
+/// Wire segments a net's sink paths traverse.
+fn wires_of(sinks: &[RoutedSink]) -> u64 {
+    sinks.iter().map(|s| s.path.len() as u64).sum()
+}
+
+/// Cross-compile cache of first-pass net routes: the model of the
+/// on-chip router's reuse.
 ///
 /// Keys cover the fabric geometry, the driver slot, and the ordered
 /// sink list, so a re-warped kernel whose placement survives intact
-/// restores its wire paths instead of re-running the A* searches. The
-/// restored paths are bit-identical to freshly computed ones (see the
-/// module docs), so routing results never depend on cache state — only
-/// the modeled routing work does.
+/// restores its wire paths instead of re-running the A* searches, and
+/// the cost model charges only the searches that ran. The restored
+/// paths are bit-identical to freshly computed ones (see the module
+/// docs), so routing results never depend on cache state — only the
+/// modeled routing work does. Saving host time without changing the
+/// modeled work is the job of a [`FabricMemo`] instead.
 #[derive(Debug, Default)]
 pub struct RouteCache {
     nets: Mutex<HashMap<u64, CachedNetRoute>>,
@@ -173,6 +238,12 @@ impl RouteCache {
         let nets = self.nets.lock().expect("route cache poisoned");
         let cached = nets.get(&key.fingerprint())?;
         (cached.key == *key).then(|| cached.sinks.clone())
+    }
+
+    /// Whether [`lookup`](Self::lookup) would restore `key`.
+    fn contains(&self, key: &NetKey) -> bool {
+        let nets = self.nets.lock().expect("route cache poisoned");
+        nets.get(&key.fingerprint()).is_some_and(|cached| cached.key == *key)
     }
 
     fn insert(&self, key: NetKey, sinks: Vec<RoutedSink>) {
@@ -247,14 +318,19 @@ pub fn route(
     placement: &Placement,
     config: &FabricConfig,
 ) -> Result<Routing, RouteError> {
-    route_cached(netlist, placement, config, None).map(|(routing, _)| routing)
+    route_cached(netlist, placement, config, None, None).map(|(routing, _)| routing)
 }
 
 /// Routes a placed netlist, restoring first-pass net routes from
 /// `cache` when possible and reporting the work actually performed.
 ///
-/// The routing result is bit-identical with or without a cache; only
-/// [`RouteWork`] differs.
+/// With a `memo`, a net list routed before at this geometry is not
+/// routed again: its memoized routing is replayed against `cache`
+/// instead, which fills the cache and reports exactly the work the
+/// router would have. A memo miss runs the router and memoizes it.
+///
+/// The routing result is bit-identical with or without a cache or a
+/// memo; only [`RouteWork`] depends on the cache, and never on the memo.
 ///
 /// # Errors
 ///
@@ -265,11 +341,50 @@ pub fn route_cached(
     placement: &Placement,
     config: &FabricConfig,
     cache: Option<&RouteCache>,
+    memo: Option<&FabricMemo>,
 ) -> Result<(Routing, RouteWork), RouteError> {
+    let key = RouteKey {
+        rows: config.rows,
+        cols: config.cols,
+        tracks: config.tracks,
+        nets: collect_nets(netlist, placement),
+    };
+    if let Some(entry) = memo.and_then(|m| m.routing(&key)) {
+        return entry.replay(&key, config, cache);
+    }
+    let run = negotiate(&key.nets, config, cache);
+    if let Some(memo) = memo {
+        let entry = RouteEntry {
+            outcome: run.outcome.clone(),
+            fresh_wires: run.work.routed_wires + run.restored_wires,
+            first_pass: run.first_pass,
+        };
+        memo.keep_routing(key, Arc::new(entry));
+    }
+    run.outcome.map(|routing| (routing, run.work))
+}
+
+/// One run of the router: its outcome and work, plus what a
+/// [`RouteEntry`] needs to replay it — the wires of the iteration-0
+/// routes restored from the cache, and every net's iteration-0 paths.
+struct Negotiation {
+    outcome: Result<Routing, RouteError>,
+    work: RouteWork,
+    restored_wires: u64,
+    first_pass: Vec<Vec<RoutedSink>>,
+}
+
+/// The negotiated-congestion router over an ordered net list.
+fn negotiate(
+    pending: &[PendingNet],
+    config: &FabricConfig,
+    cache: Option<&RouteCache>,
+) -> Negotiation {
     let wires = Wires::new(config);
     let n_wires = wires.count();
-    let pending = collect_nets(netlist, placement);
     let mut work = RouteWork::default();
+    let mut restored_wires = 0;
+    let mut first_pass: Vec<Vec<RoutedSink>> = Vec::with_capacity(pending.len());
 
     let mut history: Vec<u64> = vec![0; n_wires];
     let mut occupancy: Vec<u16> = vec![0; n_wires];
@@ -329,6 +444,8 @@ pub fn route_cached(
                             }
                         }
                     }
+                    restored_wires += wires_of(&sinks);
+                    first_pass.push(sinks.clone());
                     routes[net_idx] = Some(RoutedNet {
                         driver_node: net.driver_node,
                         driver_slot: net.driver_slot,
@@ -428,7 +545,12 @@ pub fn route_cached(
                 let Some(goal) = found else {
                     // Completely blocked: should not happen with full
                     // connection boxes, but treat as total congestion.
-                    return Err(RouteError::Congested { overused: usize::MAX });
+                    return Negotiation {
+                        outcome: Err(RouteError::Congested { overused: usize::MAX }),
+                        work,
+                        restored_wires,
+                        first_pass,
+                    };
                 };
 
                 // Recover the path (goal back to a seed).
@@ -452,6 +574,7 @@ pub fn route_cached(
                 routed.sinks.push(RoutedSink { slot: sink_slot, pin, path });
             }
             if iter == 0 {
+                first_pass.push(routed.sinks.clone());
                 if let Some(c) = cache {
                     c.insert(NetKey::of(config, net), routed.sinks.clone());
                 }
@@ -464,18 +587,16 @@ pub fn route_cached(
         if overused == 0 {
             let wirelength = occupancy.iter().map(|&o| u64::from(o)).sum();
             let nets: Vec<RoutedNet> = routes.into_iter().flatten().collect();
-            return Ok((
-                Routing {
-                    nets,
-                    stats: RouteStats {
-                        iterations: iter + 1,
-                        wirelength,
-                        tracks: config.tracks,
-                        nets: pending.len(),
-                    },
+            let routing = Routing {
+                nets,
+                stats: RouteStats {
+                    iterations: iter + 1,
+                    wirelength,
+                    tracks: config.tracks,
+                    nets: pending.len(),
                 },
-                work,
-            ));
+            };
+            return Negotiation { outcome: Ok(routing), work, restored_wires, first_pass };
         }
         for (w, &o) in occupancy.iter().enumerate() {
             if o > 1 {
@@ -486,7 +607,12 @@ pub fn route_cached(
     }
 
     let overused = occupancy.iter().filter(|&&o| o > 1).count();
-    Err(RouteError::Congested { overused })
+    Negotiation {
+        outcome: Err(RouteError::Congested { overused }),
+        work,
+        restored_wires,
+        first_pass,
+    }
 }
 
 #[cfg(test)]
@@ -599,12 +725,12 @@ mod tests {
         assert!(fresh.stats.nets > 0);
 
         let cache = RouteCache::new();
-        let (first, w1) = route_cached(&nl, &p, &cfg, Some(&cache)).unwrap();
+        let (first, w1) = route_cached(&nl, &p, &cfg, Some(&cache), None).unwrap();
         assert_eq!(w1.nets_restored, 0);
         assert!(w1.routed_wires > 0);
         assert!(!cache.is_empty());
 
-        let (second, w2) = route_cached(&nl, &p, &cfg, Some(&cache)).unwrap();
+        let (second, w2) = route_cached(&nl, &p, &cfg, Some(&cache), None).unwrap();
         assert_eq!(w2.nets_restored, first.stats.nets, "every first-pass route must restore");
         assert!(w2.routed_wires < w1.routed_wires, "restored first passes must not be re-charged");
 
@@ -620,6 +746,56 @@ mod tests {
                     assert_eq!(sa.path, sb.path);
                 }
             }
+        }
+    }
+
+    type Flat = Vec<(u32, SlotId, Vec<(SlotId, u8, Vec<WireId>)>)>;
+
+    /// A routing outcome in comparable form, with the cache's size after.
+    fn outcome(
+        result: Result<(Routing, RouteWork), RouteError>,
+        cache: &RouteCache,
+    ) -> (Result<(Flat, RouteStats, RouteWork), RouteError>, usize) {
+        let flat = result.map(|(r, work)| {
+            let nets = r.nets.iter().map(|n| {
+                let sinks = n.sinks.iter().map(|s| (s.slot, s.pin, s.path.clone())).collect();
+                (n.driver_node, n.driver_slot, sinks)
+            });
+            (nets.collect(), r.stats, work)
+        });
+        (flat, cache.len())
+    }
+
+    #[test]
+    fn memo_replays_the_router_whatever_the_cache_held_when_it_recorded() {
+        let nl = ff_netlist();
+        let mut cfg = FabricConfig::sized_for(nl.lut_count(), nl.ffs().len());
+        let p = place(&nl, &cfg).unwrap();
+        // A congested width, then a routable one.
+        for tracks in [2, 16] {
+            cfg.tracks = tracks;
+            let route = |cache: &RouteCache, memo: Option<&FabricMemo>| {
+                outcome(route_cached(&nl, &p, &cfg, Some(cache), memo), cache)
+            };
+            let primed = || {
+                let cache = RouteCache::new();
+                let _ = route_cached(&nl, &p, &cfg, Some(&cache), None);
+                cache
+            };
+            let reference = [route(&RouteCache::new(), None), route(&primed(), None)];
+            assert!(reference[1].0.as_ref().map_or(true, |(_, _, w)| w.nets_restored > 0));
+
+            // Recorded while the cache restores every net, replayed
+            // against an empty cache and a primed one.
+            let memo = FabricMemo::new();
+            assert_eq!(route(&primed(), Some(&memo)), reference[1], "{tracks} tracks, recording");
+            assert_eq!(
+                route(&RouteCache::new(), Some(&memo)),
+                reference[0],
+                "{tracks} tracks, empty"
+            );
+            assert_eq!(route(&primed(), Some(&memo)), reference[1], "{tracks} tracks, primed");
+            assert_eq!((memo.stats().route_hits, memo.stats().route_misses), (2, 1));
         }
     }
 

@@ -37,7 +37,11 @@
 //! shifted-but-similar kernel replays mapped LUT cones, placements, and
 //! first-pass net routes, producing a bit-identical circuit while
 //! charging only the delta work to the timeline (see
-//! [`warp_core::pipeline::compile_circuit_cached`]).
+//! [`warp_core::pipeline::compile_circuit_cached`]). A session without a
+//! cache keeps private modeled [`CadCaches`], built at its first compile
+//! over its [`CadService`]'s host memo: tenancy stays invisible to its
+//! timeline, yet the host places and routes a netlist once per service
+//! however many of the service's sessions warp it.
 //!
 //! Hot-patching happens between slices through
 //! [`System::imem_mut`]; the pre-decoded fetch store invalidates itself
@@ -195,8 +199,12 @@ pub struct OnlineSession {
     config: OnlineConfig,
     policy: Box<dyn WarpPolicy>,
     cache: Option<Arc<CircuitCache>>,
-    service: Arc<CadService>,
-    cad_caches: Arc<CadCaches>,
+    /// The CAD pool; a session given none creates one at its first
+    /// compile.
+    service: Option<Arc<CadService>>,
+    /// The modeled CAD tiers: the circuit cache's, or private ones over
+    /// the service's memo, built at the first compile.
+    cad_caches: Option<Arc<CadCaches>>,
     /// Shared-image + recycled-`System` store (see [`SessionPool`]).
     pool: Option<Arc<SessionPool>>,
     /// This session's workload fingerprint, computed once on first use.
@@ -225,9 +233,11 @@ pub struct OnlineSession {
 }
 
 impl OnlineSession {
-    /// Creates a session with the default [`ThresholdPolicy`], no shared
-    /// circuit cache, and a private [`CadService`] sized by
-    /// `WARP_CAD_THREADS`.
+    /// Creates a session with the default [`ThresholdPolicy`] and no
+    /// shared circuit cache. A session given no [`CadService`]
+    /// ([`with_service`](OnlineSession::with_service)) creates a private
+    /// one, sized by `WARP_CAD_THREADS`, at its first compile, so
+    /// creating a session starts no thread.
     #[must_use]
     pub fn new(built: Arc<BuiltWorkload>, config: OnlineConfig) -> Self {
         let profiler = Profiler::new(config.options.profiler);
@@ -236,8 +246,8 @@ impl OnlineSession {
             config,
             policy: Box::new(ThresholdPolicy { min_count: 2048 }),
             cache: None,
-            service: Arc::new(CadService::from_env()),
-            cad_caches: Arc::new(CadCaches::new()),
+            service: None,
+            cad_caches: None,
             pool: None,
             fingerprint: None,
             image: None,
@@ -274,18 +284,21 @@ impl OnlineSession {
     /// to the modeled timeline.
     #[must_use]
     pub fn with_cache(mut self, cache: Arc<CircuitCache>) -> Self {
-        self.cad_caches = cache.cad_caches();
+        self.cad_caches = Some(cache.cad_caches());
         self.cache = Some(cache);
         self
     }
 
-    /// Shares a CAD worker pool instead of owning one. A server hosting
-    /// thousands of sessions passes one pool; results are still consumed
-    /// only at deterministic simulated-time boundaries, so the pool (and
-    /// its contention) never leaks into the modeled timeline.
+    /// Shares a CAD worker pool, and its host memo of placements and
+    /// routings, instead of owning one. A server hosting thousands of
+    /// sessions passes one pool; results are still consumed only at
+    /// deterministic simulated-time boundaries, and the memo reports
+    /// the same modeled work as the tools it stands in for, so neither
+    /// the pool (with its contention) nor the memo leaks into the
+    /// modeled timeline.
     #[must_use]
     pub fn with_service(mut self, service: Arc<CadService>) -> Self {
-        self.service = service;
+        self.service = Some(service);
         self
     }
 
@@ -505,10 +518,14 @@ impl OnlineSession {
         let Some(mut sys) = self.sys.take() else {
             return;
         };
-        if let (Some(pool), Some(key)) = (&self.pool, self.fingerprint) {
+        if let (Some(pool), Some(key), Some(image)) = (&self.pool, self.fingerprint, &self.image) {
             // The fabric slot port is session-private: unmap it so it
             // cannot shadow the next session's mapping.
             sys.unmap_peripheral(WCLA_BASE);
+            // A standing patch detached private copies of the image;
+            // re-attaching now frees them while the carcass is parked
+            // (the next acquire re-attaches anyway).
+            sys.attach_image(image);
             pool.release(key, sys);
         }
     }
@@ -679,8 +696,8 @@ impl OnlineSession {
                 match begin_warp(
                     &self.built,
                     self.cache.as_deref(),
-                    &self.service,
-                    &self.cad_caches,
+                    &mut self.service,
+                    &mut self.cad_caches,
                     &self.config,
                     &region,
                     self.cycles,
@@ -785,7 +802,9 @@ pub(crate) fn rejects_region(e: &WarpError) -> bool {
 /// rewrite, probes the circuit cache — all synchronously, so their
 /// rejections blacklist at the detection boundary — then either returns
 /// the cached circuit as [`CadState::Ready`] or submits compilation to
-/// a background worker as [`CadState::InFlight`].
+/// a background worker as [`CadState::InFlight`]. The first compile of
+/// a session given no service creates it, and the first of a session
+/// given no CAD caches builds them over the service's memo.
 ///
 /// `Ok(None)` means decompilation or patch planning rejected the
 /// region (blacklist it). Fabric rejections surface later, at the
@@ -793,8 +812,8 @@ pub(crate) fn rejects_region(e: &WarpError) -> bool {
 fn begin_warp(
     built: &BuiltWorkload,
     cache: Option<&CircuitCache>,
-    service: &CadService,
-    cad_caches: &Arc<CadCaches>,
+    service: &mut Option<Arc<CadService>>,
+    cad_caches: &mut Option<Arc<CadCaches>>,
     config: &OnlineConfig,
     region: &HotRegion,
     now: u64,
@@ -842,7 +861,10 @@ fn begin_warp(
     let floor_dpm = decompiled.kernel.body_insns as u64 * costs::DECOMPILE_PER_INSN;
     let join_at =
         now + to_timeline_cycles(floor_dpm, config.mb.clock_hz, config.options.dpm_clock_hz);
-    let caches = Arc::clone(cad_caches);
+    let service = service.get_or_insert_with(|| Arc::new(CadService::from_env()));
+    let caches = Arc::clone(
+        cad_caches.get_or_insert_with(|| Arc::new(CadCaches::over(Arc::clone(service.memo())))),
+    );
     let handle =
         service.submit(move || pipeline::compile_circuit_cached(&decompiled, Some(&caches)));
     Ok(Some(CadState::InFlight(InFlightWarp {

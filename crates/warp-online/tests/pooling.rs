@@ -11,6 +11,9 @@
 //! 3. **Pooling is invisible to the shared cache** — a kernel evicted
 //!    from a bounded cache's modeled residency comes back from its host
 //!    memo as a hit, whether or not the session is pooled.
+//! 4. **Parked carcasses hold no private copies** — a session that
+//!    finishes with a standing patch parks its `System` back on the
+//!    shared image.
 
 use std::sync::Arc;
 
@@ -80,6 +83,21 @@ fn seeded_siblings_share_one_image() {
     assert_eq!(stats.images, 1, "seeds must share one image");
     assert_eq!(stats.image_builds, 1);
     assert_eq!(stats.carcasses, 1, "seeds must share one recycled system");
+}
+
+#[test]
+fn parked_carcass_returns_to_the_shared_image() {
+    let built = Arc::new(workloads::by_name("brev").unwrap().build(MbFeatures::paper_default()));
+    let config = OnlineConfig::default();
+    let pool = Arc::new(SessionPool::new());
+    let report = OnlineSession::new(Arc::clone(&built), config.clone())
+        .with_policy(policy())
+        .with_pool(Arc::clone(&pool))
+        .run()
+        .unwrap();
+    assert!(!report.events.is_empty(), "the warp must land, leaving a standing patch");
+    let carcass = pool.acquire(built.fingerprint(&config.mb)).expect("the session parked");
+    assert!(carcass.imem().is_shared(), "the patched private copy must not be parked");
 }
 
 #[test]

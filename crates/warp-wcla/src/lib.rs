@@ -32,8 +32,10 @@ pub mod device;
 pub mod executor;
 pub mod patch;
 
+use std::sync::Arc;
+
 use warp_cdfg::LoopKernel;
-use warp_fabric::{CompiledCircuit, FabricCaches, FabricConfig, FabricWork};
+use warp_fabric::{CompiledCircuit, FabricCaches, FabricConfig, FabricMemo, FabricWork};
 use warp_synth::map::{MapCache, MapWork};
 use warp_synth::{LutNetlist, SynthReport};
 
@@ -44,10 +46,17 @@ pub use patch::{apply_patch, stub_base_for, PatchPlan, STUB_GAP_WORDS};
 /// Memoization caches spanning the whole CAD back end: technology
 /// mapping cones, placements, and first-pass net routes.
 ///
-/// Compiling with caches never changes any artifact — a from-scratch
-/// compile is exactly an incremental compile with empty caches — it
-/// only changes the work a [`CadWork`] reports, and hence the modeled
-/// CAD time charged to the online timeline.
+/// These are the *modeled* tiers: the on-chip tools' reuse. Compiling
+/// with caches never changes any artifact — a from-scratch compile is
+/// exactly an incremental compile with empty caches — it only changes
+/// the work a [`CadWork`] reports, and hence the modeled CAD time
+/// charged to the online timeline.
+///
+/// Caches built [`over`](CadCaches::over) a host [`FabricMemo`] also
+/// skip the placer and router runs that memo has seen, reporting the
+/// same work as if they had run. Technology mapping has no host memo:
+/// its modeled work depends on the union of the cones that missed
+/// `map`, so it runs on every compile.
 #[derive(Debug, Default)]
 pub struct CadCaches {
     /// Mapped LUT-cone cache (sub-kernel fingerprints).
@@ -61,6 +70,13 @@ impl CadCaches {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates empty caches whose placement and routing run over the
+    /// shared host `memo`.
+    #[must_use]
+    pub fn over(memo: Arc<FabricMemo>) -> Self {
+        CadCaches { map: MapCache::default(), fabric: FabricCaches::over(memo) }
     }
 }
 
