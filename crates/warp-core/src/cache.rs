@@ -36,6 +36,11 @@
 //! [`CacheStats`] keeps the two roles apart: `hits` counts lookups
 //! served without a host compile, `misses` counts host compiles, and
 //! `evictions` and `entries` describe the modeled residency.
+//!
+//! Below whole circuits, the cache carries the modeled sub-kernel tiers
+//! ([`CadCaches`]) that its sessions' compiles are charged against. They
+//! hold only keys; the sub-kernel artifacts themselves live in each
+//! compiling [`CadService`](crate::CadService)'s host store.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -90,10 +95,11 @@ struct Slots {
 /// A thread-safe, content-addressed store of compiled WCLA circuits.
 ///
 /// Beyond whole-circuit artifacts, the cache carries a set of
-/// [`CadCaches`] — sub-kernel memoization of mapped LUT cones,
-/// placements, and first-pass net routes — so an online runtime
-/// attached to this cache can compile a *shifted-but-similar* kernel
-/// incrementally even when its whole-kernel fingerprint misses.
+/// [`CadCaches`] — the keys of the mapped LUT cones, placements, and
+/// first-pass net routes its compiles produced — so an online runtime
+/// attached to this cache is charged only the delta for a
+/// *shifted-but-similar* kernel even when its whole-kernel fingerprint
+/// misses.
 pub struct CircuitCache {
     slots: Mutex<Slots>,
     /// Maximum resident entries; `usize::MAX` means unbounded (the
@@ -161,9 +167,10 @@ impl CircuitCache {
         slots.memo.get(&fingerprint).cloned()
     }
 
-    /// The sub-kernel CAD caches carried by this circuit cache. Runtimes
-    /// that compile through these caches share mapped cones, placements,
-    /// and net routes with every other compile that went through them.
+    /// The sub-kernel CAD caches carried by this circuit cache. A
+    /// runtime that compiles against these caches is not charged for
+    /// the cones, placements, and net routes any other compile against
+    /// them already produced.
     #[must_use]
     pub fn cad_caches(&self) -> Arc<CadCaches> {
         Arc::clone(&self.cad)

@@ -121,7 +121,8 @@ mod tests {
     fn dpm_cost_is_seconds_scale_and_sub_megabyte_for_small_kernels() {
         let built = workloads::by_name("canrdr").unwrap().build(MbFeatures::paper_default());
         let kernel = decompile_loop(&built.program, built.kernel.head, built.kernel.tail).unwrap();
-        let (circuit, synth, work) = WclaCircuit::build_cached(kernel, None).unwrap();
+        let (circuit, synth, work) =
+            WclaCircuit::build_cached(kernel, &Default::default(), None).unwrap();
         let report = estimate(&circuit.kernel, &synth, &circuit.netlist, &circuit.compiled, &work);
         let seconds = report.seconds(85_000_000);
         assert!(
@@ -141,13 +142,13 @@ mod tests {
         let small = {
             let b = workloads::by_name("brev").unwrap().build(MbFeatures::paper_default());
             let k = decompile_loop(&b.program, b.kernel.head, b.kernel.tail).unwrap();
-            let (c, s, w) = WclaCircuit::build_cached(k, None).unwrap();
+            let (c, s, w) = WclaCircuit::build_cached(k, &Default::default(), None).unwrap();
             estimate(&c.kernel, &s, &c.netlist, &c.compiled, &w).total_cycles()
         };
         let big = {
             let b = workloads::by_name("idct").unwrap().build(MbFeatures::paper_default());
             let k = decompile_loop(&b.program, b.kernel.head, b.kernel.tail).unwrap();
-            let (c, s, w) = WclaCircuit::build_cached(k, None).unwrap();
+            let (c, s, w) = WclaCircuit::build_cached(k, &Default::default(), None).unwrap();
             estimate(&c.kernel, &s, &c.netlist, &c.compiled, &w).total_cycles()
         };
         assert!(big > small * 5, "idct DPM {big} vs brev {small}");

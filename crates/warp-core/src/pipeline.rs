@@ -32,7 +32,7 @@ use warp_profiler::Profiler;
 use warp_synth::SynthReport;
 use warp_wcla::device::WCLA_WINDOW;
 use warp_wcla::patch::{apply_patch, stub_base_for, PatchError, PatchPlan};
-use warp_wcla::{CadCaches, CadWork, WclaCircuit, WclaDevice, WCLA_BASE};
+use warp_wcla::{CadCaches, CadStore, CadWork, WclaCircuit, WclaDevice, WCLA_BASE};
 use workloads::BuiltWorkload;
 
 use crate::cache::CircuitCache;
@@ -249,37 +249,39 @@ pub fn decompile(built: &BuiltWorkload, hot: &HotRegion) -> Result<DecompiledKer
 /// Phase 4: the CAD chain — synthesis, technology mapping, place &
 /// route, bitstream, cycle model, and the DPM cost estimate.
 ///
-/// A from-scratch compile runs through fresh, private [`CadCaches`]: the
-/// memoizing tools *are* the CAD algorithm, so even a cold compile
-/// benefits from within-chain reuse (a channel-width retry restores the
-/// placement it just computed instead of re-placing), and its modeled
-/// cost is identical to what an online runtime charges for the same
-/// kernel through empty shared caches.
+/// A from-scratch compile runs through a private [`CadStore`] and fresh,
+/// private [`CadCaches`]: the modeled tools reuse within the chain (a
+/// channel-width retry restores the placement it just computed instead
+/// of re-placing), and the modeled cost is identical to what an online
+/// runtime charges for the same kernel through empty caches.
 ///
 /// # Errors
 ///
 /// [`WarpError::Fabric`] if the kernel does not fit or route.
 pub fn compile_circuit(decompiled: &DecompiledKernel) -> Result<CompiledWcla, WarpError> {
-    compile_circuit_cached(decompiled, Some(&CadCaches::new()))
+    compile_circuit_cached(decompiled, &CadStore::default(), Some(&CadCaches::new()))
 }
 
-/// [`compile_circuit`] with sub-kernel memoization: mapped cones,
-/// placements, and net routes are reused from `caches` where the
-/// structure matches. The circuit artifacts are bit-identical with or
-/// without caches — a from-scratch compile *is* an incremental compile
-/// with empty caches — but the DPM cost reflects only the work actually
-/// performed, which is what makes a re-warp of a shifted-but-similar
-/// kernel delta-cost on the online timeline.
+/// [`compile_circuit`] through the host `store`, charging only the
+/// sub-kernel work `caches` did not already hold: cones, placements,
+/// and net routes. The circuit artifacts are bit-identical whatever the
+/// store and the caches hold — a from-scratch compile *is* an
+/// incremental compile with empty caches — but the DPM cost reflects
+/// only the work the on-chip tools performed, which is what makes a
+/// re-warp of a shifted-but-similar kernel delta-cost on the online
+/// timeline.
 ///
 /// # Errors
 ///
 /// [`WarpError::Fabric`] if the kernel does not fit or route.
 pub fn compile_circuit_cached(
     decompiled: &DecompiledKernel,
+    store: &CadStore,
     caches: Option<&CadCaches>,
 ) -> Result<CompiledWcla, WarpError> {
     let (circuit, synth, work) =
-        WclaCircuit::build_cached(decompiled.kernel.clone(), caches).map_err(WarpError::Fabric)?;
+        WclaCircuit::build_cached(decompiled.kernel.clone(), store, caches)
+            .map_err(WarpError::Fabric)?;
     let dpm = dpm::estimate(&circuit.kernel, &synth, &circuit.netlist, &circuit.compiled, &work);
     Ok(CompiledWcla { circuit, synth, dpm, work, fingerprint: decompiled.fingerprint })
 }

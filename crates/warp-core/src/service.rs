@@ -15,16 +15,17 @@
 //! is what keeps reports byte-identical across `WARP_CAD_THREADS`
 //! settings.
 //!
-//! A service also owns one host [`FabricMemo`]: compiles whose modeled
-//! caches are built over it ([`CadCaches::over`](warp_wcla::CadCaches::over))
-//! place and route each netlist once per service, however many sessions
-//! warp it, without changing any modeled cost.
+//! A service also owns the one host [`CadStore`] its compiles compute
+//! through: each cone is mapped, and each netlist placed and routed,
+//! once per service, however many sessions warp it. The store changes
+//! no modeled cost; that comes from each compile's modeled
+//! [`CadCaches`](warp_wcla::CadCaches), which hold only keys.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use warp_fabric::FabricMemo;
+use warp_wcla::CadStore;
 
 /// Environment variable selecting the worker-pool size (default 1;
 /// clamped to `1..=16`). The modeled timeline is identical for every
@@ -98,17 +99,17 @@ impl<T> CadHandle<T> {
     }
 }
 
-/// A small pool of background CAD workers, plus the host
-/// [`FabricMemo`] its compiles share.
+/// A small pool of background CAD workers, plus the host [`CadStore`]
+/// its compiles share.
 ///
 /// Dropping the service stops the workers after their current job; jobs
 /// still queued are discarded (their handles never resolve), so keep
-/// the service alive as long as any handle is outstanding. The memo is
+/// the service alive as long as any handle is outstanding. The store is
 /// unbounded and lives as long as the service.
 pub struct CadService {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    memo: Arc<FabricMemo>,
+    store: Arc<CadStore>,
 }
 
 impl CadService {
@@ -126,7 +127,7 @@ impl CadService {
                     .expect("spawn CAD worker")
             })
             .collect();
-        CadService { shared, workers, memo: Arc::default() }
+        CadService { shared, workers, store: Arc::default() }
     }
 
     /// Creates a service sized by [`CAD_THREADS_ENV`] (default 1).
@@ -145,11 +146,10 @@ impl CadService {
         self.workers.len()
     }
 
-    /// The host memo of placements and routings that compiles on this
-    /// service share when their modeled caches are built over it.
+    /// The host store that compiles on this service compute through.
     #[must_use]
-    pub fn memo(&self) -> &Arc<FabricMemo> {
-        &self.memo
+    pub fn store(&self) -> &Arc<CadStore> {
+        &self.store
     }
 
     /// Queues `job` for execution on a worker and returns its handle.

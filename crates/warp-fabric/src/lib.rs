@@ -27,15 +27,15 @@
 //! The top-level entry point is [`compile`], which runs
 //! place → route → bitstream → timing and retries with wider channels if
 //! routing fails (the channel-width sweep of the DAC'04 evaluation).
-//! [`compile_cached`] adds the modeled reuse caches ([`FabricCaches`])
-//! and, beneath them, an optional host memo ([`FabricMemo`]).
+//! [`compile_cached`] computes through a host [`FabricStore`], which
+//! keeps every placement and routing once, and charges its work against
+//! the modeled reuse caches ([`FabricCaches`]), which hold only keys.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arch;
 pub mod bitstream;
-pub mod memo;
 pub mod place;
 pub mod route;
 pub mod sim;
@@ -45,32 +45,27 @@ use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
+use warp_synth::store::{Lookups, Table};
 use warp_synth::LutNetlist;
 
 pub use arch::FabricConfig;
 pub use bitstream::Bitstream;
-pub use memo::{FabricMemo, MemoStats};
 pub use place::{PlaceCache, Placement};
 pub use route::{RouteCache, RouteStats};
 pub use sim::FabricSim;
 pub use timing::TimingReport;
 
-/// Memoization caches for the fabric back-end stages: the model of the
-/// on-chip tools' reuse, optionally over a host [`FabricMemo`].
+/// The model of the on-chip back-end tools' reuse: the placement views
+/// and first-pass net routes they have already computed.
 ///
-/// Compiling with caches never changes the result — every cached
-/// artifact is the memoized output of a pure function of the netlist
-/// structure and fabric geometry, verified structurally on lookup — it
-/// only changes how much work [`compile_cached`] reports having done.
-/// The memo changes neither: it only spares the host the placer and
-/// router runs it has already seen.
+/// The caches hold only keys. They never change a compiled circuit,
+/// only how much work [`compile_cached`] reports having done.
 #[derive(Debug, Default)]
 pub struct FabricCaches {
-    /// Memoized placements keyed by netlist structure.
+    /// Placement views already placed.
     pub place: PlaceCache,
-    /// Memoized first-pass net routes keyed by geometry and pins.
+    /// First-pass net routes already routed, by geometry and pins.
     pub route: RouteCache,
-    memo: Option<Arc<FabricMemo>>,
 }
 
 impl FabricCaches {
@@ -79,25 +74,50 @@ impl FabricCaches {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// Creates empty caches over a shared host `memo`.
+/// The host store of placements and negotiated routings.
+///
+/// A placement is keyed by the placer's canonical view of the netlist
+/// and restored by LUT rank. A routing is keyed by everything the
+/// router reads, the fabric geometry and the ordered net list, and
+/// holds the routing or congestion outcome, the wires the router
+/// traversed over all its iterations, and the wires of every net's
+/// iteration-0 paths: enough to charge it against any
+/// [`RouteCache`]. So a netlist is placed and routed once per store,
+/// however many compiles use it, and the store never changes a
+/// reported [`FabricWork`].
+#[derive(Debug, Default)]
+pub struct FabricStore {
+    places: Table<Arc<place::PlaceView>, place::StoredPlacement>,
+    routes: Table<Arc<route::RouteKey>, route::RouteEntry>,
+}
+
+impl FabricStore {
+    /// Placement lookups the store served or missed so far.
     #[must_use]
-    pub fn over(memo: Arc<FabricMemo>) -> Self {
-        FabricCaches { memo: Some(memo), ..Self::default() }
+    pub fn place_lookups(&self) -> Lookups {
+        self.places.lookups()
+    }
+
+    /// Routing lookups the store served or missed so far.
+    #[must_use]
+    pub fn route_lookups(&self) -> Lookups {
+        self.routes.lookups()
     }
 }
 
-/// Modeled work the fabric back end actually performed, summed over
+/// Modeled work the on-chip back-end tools performed, summed over
 /// channel-width retries.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct FabricWork {
     /// Placement refinement attempts executed (0 when restored).
     pub place_attempts: u64,
-    /// Whether the successful attempt restored its placement.
+    /// Whether the caches held the successful attempt's placement.
     pub place_restored: bool,
     /// Wire segments traversed by freshly computed route paths.
     pub routed_wires: u64,
-    /// Nets whose first-pass route was restored on the successful
+    /// Nets whose first-pass route the caches held on the successful
     /// attempt.
     pub nets_restored: usize,
 }
@@ -160,14 +180,13 @@ pub struct CompiledCircuit {
 /// Returns [`CompileError`] if the netlist exceeds the fabric capacity
 /// or remains unroutable at the maximum channel width.
 pub fn compile(netlist: &LutNetlist, base: &FabricConfig) -> Result<CompiledCircuit, CompileError> {
-    compile_cached(netlist, base, None).map(|(circuit, _)| circuit)
+    compile_cached(netlist, base, &FabricStore::default(), None).map(|(circuit, _)| circuit)
 }
 
-/// [`compile`] with memoization: restores placements and first-pass net
-/// routes from `caches` when the structure matches, and reports the
-/// work actually performed. The compiled circuit is bit-identical with
-/// or without caches, and the circuit and the work are the same with or
-/// without a memo beneath them.
+/// [`compile`] through the host `store`, reporting the work the on-chip
+/// tools performed given what `caches` already held (and adding what
+/// they computed). The compiled circuit is bit-identical whatever the
+/// store and the caches hold, and the work depends on the caches only.
 ///
 /// # Errors
 ///
@@ -176,18 +195,18 @@ pub fn compile(netlist: &LutNetlist, base: &FabricConfig) -> Result<CompiledCirc
 pub fn compile_cached(
     netlist: &LutNetlist,
     base: &FabricConfig,
+    store: &FabricStore,
     caches: Option<&FabricCaches>,
 ) -> Result<(CompiledCircuit, FabricWork), CompileError> {
     let mut config = base.clone();
     let mut last_overused = 0;
     let mut work = FabricWork::default();
-    let memo = caches.and_then(|c| c.memo.as_deref());
     for _attempt in 0..5 {
         let (placement, place_work) =
-            place::place_cached(netlist, &config, caches.map(|c| &c.place), memo)?;
+            place::place_cached(netlist, &config, store, caches.map(|c| &c.place))?;
         work.place_attempts += place_work.attempts;
         work.place_restored = place_work.restored;
-        match route::route_cached(netlist, &placement, &config, caches.map(|c| &c.route), memo) {
+        match route::route_cached(netlist, &placement, &config, store, caches.map(|c| &c.route)) {
             Ok((routing, route_work)) => {
                 work.routed_wires += route_work.routed_wires;
                 work.nets_restored = route_work.nets_restored;

@@ -8,22 +8,19 @@
 //!
 //! The placer is a pure function of the netlist's *placement view* —
 //! LUT-to-LUT connectivity, flip-flop D drivers, and grid geometry (the
-//! swap pass is seeded deterministically) — so a [`PlaceCache`] can
-//! memoize whole placements by content hash and restore them
-//! bit-identically when a structurally identical netlist re-warps. The
-//! same key serves a [`FabricMemo`], which keeps placements on the host
-//! without changing the modeled work.
+//! swap pass is seeded deterministically) — so a [`FabricStore`] keeps
+//! each whole placement by its view and restores it bit-identically,
+//! while a [`PlaceCache`] models the views the on-chip placer has
+//! already placed.
 
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::Mutex;
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Mutex};
 
-use warp_cdfg::fingerprint::Fnv1a;
 use warp_synth::map::LutNode;
 use warp_synth::LutNetlist;
 
 use crate::arch::{FabricConfig, SlotId};
-use crate::{CompileError, FabricMemo};
+use crate::{CompileError, FabricStore};
 
 /// Where every netlist node landed.
 #[derive(Clone, Debug, Default)]
@@ -50,28 +47,6 @@ impl Placement {
     pub fn occupied(&self) -> usize {
         self.lut_slot.len() + self.ff_slot.len()
     }
-}
-
-/// Half-perimeter wirelength of all LUT-to-LUT nets under a placement
-/// (the placer's cost function).
-fn wirelength(
-    netlist: &LutNetlist,
-    config: &FabricConfig,
-    pos: &HashMap<u32, (usize, usize)>,
-) -> u64 {
-    let mut total = 0u64;
-    for (i, node) in netlist.nodes().iter().enumerate() {
-        if let LutNode::Lut { inputs, .. } = node {
-            let Some(&(r0, c0)) = pos.get(&(i as u32)) else { continue };
-            for &inp in inputs {
-                if let Some(&(r1, c1)) = pos.get(&inp) {
-                    total += r0.abs_diff(r1) as u64 + c0.abs_diff(c1) as u64;
-                }
-            }
-        }
-    }
-    let _ = config;
-    total
 }
 
 /// Everything the placer reads, canonicalized: LUT nodes renamed to
@@ -108,19 +83,18 @@ fn placement_view(netlist: &LutNetlist, config: &FabricConfig) -> PlaceView {
     PlaceView { rows: config.rows, cols: config.cols, luts, ffs }
 }
 
-/// A memoized whole placement: slots by LUT rank and FF index.
-#[derive(Clone, Debug)]
-pub(crate) struct CachedPlacement {
-    view: PlaceView,
+/// A stored whole placement: slots by LUT rank and FF index.
+#[derive(Debug)]
+pub(crate) struct StoredPlacement {
     lut_slots: Vec<SlotId>,
     ff_slots: Vec<SlotId>,
 }
 
-impl CachedPlacement {
-    fn of(view: PlaceView, lut_ids: &[u32], placement: &Placement) -> Self {
+impl StoredPlacement {
+    fn of(lut_ids: &[u32], placement: &Placement) -> Self {
         let lut_slots = lut_ids.iter().map(|id| placement.lut_slot[id]).collect();
-        let ff_slots = (0..view.ffs.len()).map(|k| placement.ff_slot[&k]).collect();
-        CachedPlacement { view, lut_slots, ff_slots }
+        let ff_slots = (0..placement.ff_slot.len()).map(|k| placement.ff_slot[&k]).collect();
+        StoredPlacement { lut_slots, ff_slots }
     }
 
     /// The placement for a netlist whose LUTs, in node order, are
@@ -133,19 +107,16 @@ impl CachedPlacement {
     }
 }
 
-/// Memoized placements, shared across compiles: the model of the
-/// on-chip placer's reuse, and the store behind a [`FabricMemo`]'s
-/// placements.
+/// The placement views the on-chip placer has already placed, shared
+/// across compiles: the model of its reuse.
 ///
-/// [`place_cached`] restores the exact placement [`place`] would compute
-/// (the placer is deterministic), so only the reported [`PlaceWork`]
-/// changes: a restored placement is placer work the lean processor
-/// skips, and the cost model charges only the work that ran. Entries
-/// are verified structurally on hit; a hash collision degrades to a
-/// miss.
+/// It holds only keys. A view it holds is placer work the lean
+/// processor skips, so [`place_cached`] charges it no [`PlaceWork`]; the
+/// placement itself comes from a [`FabricStore`] either way. Views are
+/// compared in full, so two distinct netlists never alias.
 #[derive(Debug, Default)]
 pub struct PlaceCache {
-    slots: Mutex<HashMap<u64, CachedPlacement>>,
+    views: Mutex<HashSet<Arc<PlaceView>>>,
 }
 
 impl PlaceCache {
@@ -155,14 +126,14 @@ impl PlaceCache {
         Self::default()
     }
 
-    /// Number of memoized placements.
+    /// Number of placement views held.
     ///
     /// # Panics
     ///
     /// Panics if the internal lock is poisoned.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.slots.lock().expect("place cache lock").len()
+        self.views.lock().expect("place cache lock").len()
     }
 
     /// Whether the cache is empty.
@@ -170,36 +141,24 @@ impl PlaceCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    pub(crate) fn lookup(&self, key: u64, view: &PlaceView) -> Option<CachedPlacement> {
-        let slots = self.slots.lock().expect("place cache lock");
-        slots.get(&key).filter(|c| &c.view == view).cloned()
-    }
-
-    pub(crate) fn insert(&self, key: u64, cached: CachedPlacement) {
-        self.slots.lock().expect("place cache lock").entry(key).or_insert(cached);
-    }
 }
 
-/// Placement work actually performed (vs. restored from a
-/// [`PlaceCache`]), for the on-chip CAD cost model.
+/// Placement work the on-chip placer performed (none when `cache` held
+/// the view), for the on-chip CAD cost model.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash)]
 pub struct PlaceWork {
     /// Greedy swap attempts the placer ran.
     pub attempts: u64,
-    /// Whether the whole placement was restored from the cache.
+    /// Whether the cache held the whole placement.
     pub restored: bool,
 }
 
-/// Places a mapped netlist, restoring the whole placement from `cache`
-/// when a structurally identical netlist was placed before (and
-/// memoizing fresh placements).
+/// Places a mapped netlist through the host `store`, charging the
+/// placer's swap attempts unless `cache` already held its view (and
+/// adding the view to it).
 ///
-/// On a `cache` miss, a `memo` that holds the placement supplies it in
-/// place of the placer; the reported work is the placer's either way.
-///
-/// Bit-identical to [`place`] either way — only [`PlaceWork`] changes,
-/// and only with the cache.
+/// Bit-identical to [`place`] whatever `store` and `cache` hold; only
+/// [`PlaceWork`] changes, and only with the cache.
 ///
 /// # Errors
 ///
@@ -208,8 +167,8 @@ pub struct PlaceWork {
 pub fn place_cached(
     netlist: &LutNetlist,
     config: &FabricConfig,
+    store: &FabricStore,
     cache: Option<&PlaceCache>,
-    memo: Option<&FabricMemo>,
 ) -> Result<(Placement, PlaceWork), CompileError> {
     let lut_ids: Vec<u32> = netlist
         .nodes()
@@ -218,37 +177,19 @@ pub fn place_cached(
         .filter(|(_, n)| matches!(n, LutNode::Lut { .. }))
         .map(|(i, _)| i as u32)
         .collect();
-    let needed = lut_ids.len().max(netlist.ffs().len());
-    if needed > config.lut_slots() {
-        return Err(CompileError::FabricFull { needed, available: config.lut_slots() });
-    }
-
-    let view = placement_view(netlist, config);
-    let key = {
-        let mut h = Fnv1a::new();
-        view.hash(&mut h);
-        h.finish()
-    };
-    if let Some(hit) = cache.and_then(|c| c.lookup(key, &view)) {
-        return Ok((hit.restore(&lut_ids), PlaceWork { attempts: 0, restored: true }));
-    }
-
-    let (placement, cached) = match memo.and_then(|m| m.placement(key, &view)) {
-        Some(hit) => (hit.restore(&lut_ids), hit),
+    let view = Arc::new(placement_view(netlist, config));
+    let placed = match store.places.get(&view) {
+        Some(placed) => placed,
         None => {
-            let placement = place(netlist, config)?;
-            let cached = CachedPlacement::of(view, &lut_ids, &placement);
-            if let Some(m) = memo {
-                m.keep_placement(key, cached.clone());
-            }
-            (placement, cached)
+            let placed = Arc::new(StoredPlacement::of(&lut_ids, &place(netlist, config)?));
+            store.places.insert(Arc::clone(&view), Arc::clone(&placed));
+            placed
         }
     };
-    let attempts = if lut_ids.len() >= 2 { (lut_ids.len() * 24).min(120_000) as u64 } else { 0 };
-    if let Some(c) = cache {
-        c.insert(key, cached);
-    }
-    Ok((placement, PlaceWork { attempts, restored: false }))
+    let restored = cache.is_some_and(|c| !c.views.lock().expect("place cache lock").insert(view));
+    let luts = lut_ids.len();
+    let attempts = if restored || luts < 2 { 0 } else { (luts * 24).min(120_000) as u64 };
+    Ok((placed.restore(&lut_ids), PlaceWork { attempts, restored }))
 }
 
 /// Places a mapped netlist.
@@ -399,7 +340,6 @@ pub fn place(netlist: &LutNetlist, config: &FabricConfig) -> Result<Placement, C
             }
         }
     }
-    debug_assert!(wirelength(netlist, config, &clb_of) < u64::MAX);
 
     // Assign slot indices within CLBs.
     let mut slot_use: HashMap<(usize, usize), usize> = HashMap::new();
@@ -499,18 +439,26 @@ mod tests {
         let cfg = FabricConfig::sized_for(nl.lut_count(), 0);
         let fresh = place(&nl, &cfg).unwrap();
 
+        let store = FabricStore::default();
         let cache = PlaceCache::new();
-        let (first, w1) = place_cached(&nl, &cfg, Some(&cache), None).unwrap();
+        let (first, w1) = place_cached(&nl, &cfg, &store, Some(&cache)).unwrap();
         assert!(!w1.restored);
         assert!(w1.attempts > 0, "the adder has enough LUTs for a swap pass");
         assert_eq!(first.lut_slot, fresh.lut_slot);
         assert_eq!(first.ff_slot, fresh.ff_slot);
 
-        let (second, w2) = place_cached(&nl, &cfg, Some(&cache), None).unwrap();
+        let (second, w2) = place_cached(&nl, &cfg, &store, Some(&cache)).unwrap();
         assert!(w2.restored, "an identical view must restore");
         assert_eq!(w2.attempts, 0);
         assert_eq!(second.lut_slot, fresh.lut_slot);
         assert_eq!(second.ff_slot, fresh.ff_slot);
+
+        // A warm store over an empty cache places nothing yet charges
+        // the placer's attempts.
+        let (third, w3) = place_cached(&nl, &cfg, &store, Some(&PlaceCache::new())).unwrap();
+        assert_eq!(w3, w1);
+        assert_eq!(third.lut_slot, fresh.lut_slot);
+        assert_eq!(store.place_lookups().misses, 1);
     }
 
     #[test]

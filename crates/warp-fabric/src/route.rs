@@ -12,28 +12,25 @@
 //! Iteration 0 is congestion-blind: the presence multiplier starts at
 //! zero, so every net's first route is a pure function of the fabric
 //! geometry, its driver slot, and its ordered sink list. That purity is
-//! what makes the per-net [`RouteCache`] sound — a restored first-pass
-//! path is bit-identical to the one the router would have computed, and
-//! the negotiation iterations that resolve any sharing proceed
-//! identically whether the paths were computed or restored.
+//! what makes the per-net [`RouteCache`] sound: an on-chip router that
+//! restored a first-pass path would get the one it would have computed,
+//! and the negotiation iterations that resolve any sharing would
+//! proceed identically.
 //!
 //! The whole negotiation is likewise a pure function of the geometry
-//! and the ordered net list, which is what lets a
-//! [`FabricMemo`] replay a routing on the host without running the
-//! router (see [`route_cached`]).
+//! and the ordered net list, which is what lets a [`FabricStore`] keep
+//! each routing once on the host (see [`route_cached`]).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::hash::{Hash, Hasher};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
-use warp_cdfg::fingerprint::Fnv1a;
 use warp_synth::map::LutNode;
 use warp_synth::LutNetlist;
 
 use crate::arch::{FabricConfig, SlotId, WireId, Wires};
 use crate::place::Placement;
-use crate::FabricMemo;
+use crate::FabricStore;
 
 /// Milli-unit base cost of one wire segment.
 const BASE_COST: u64 = 1000;
@@ -108,7 +105,7 @@ struct PendingNet {
 /// congestion-blind iteration-0 search depends on. The driver node
 /// index is deliberately excluded — it names the net but does not
 /// influence its path.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(PartialEq, Eq, Hash, Debug)]
 struct NetKey {
     rows: usize,
     cols: usize,
@@ -118,35 +115,20 @@ struct NetKey {
 }
 
 impl NetKey {
-    fn of(config: &FabricConfig, net: &PendingNet) -> Self {
+    fn of(key: &RouteKey, net: &PendingNet) -> Self {
         NetKey {
-            rows: config.rows,
-            cols: config.cols,
-            tracks: config.tracks,
+            rows: key.rows,
+            cols: key.cols,
+            tracks: key.tracks,
             driver_slot: net.driver_slot,
             sinks: net.sinks.clone(),
         }
     }
-
-    fn fingerprint(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        self.hash(&mut h);
-        h.finish()
-    }
-}
-
-/// A memoized iteration-0 route: the sink paths the congestion-blind
-/// first pass produces for this key. The key is stored in full so a
-/// hash collision verifies as a miss rather than corrupting a route.
-#[derive(Clone, Debug)]
-struct CachedNetRoute {
-    key: NetKey,
-    sinks: Vec<RoutedSink>,
 }
 
 /// Everything the negotiated router reads: the fabric geometry and the
-/// ordered net list [`collect_nets`] builds. The key of a [`FabricMemo`]
-/// routing.
+/// ordered net list [`collect_nets`] builds. The key of a
+/// [`FabricStore`] routing.
 #[derive(PartialEq, Eq, Hash, Debug)]
 pub(crate) struct RouteKey {
     rows: usize,
@@ -155,38 +137,34 @@ pub(crate) struct RouteKey {
     nets: Vec<PendingNet>,
 }
 
-/// A memoized negotiation: its outcome, the wires it traversed over all
-/// iterations as if no net had been restored, and every net's
-/// iteration-0 paths in net order (only the nets iteration 0 finished,
-/// should the search be blocked part-way).
+/// A stored negotiation: its outcome, the wires it traversed over all
+/// iterations, and the wires of every net's iteration-0 paths in net
+/// order (only the nets iteration 0 finished, should the search be
+/// blocked part-way).
 #[derive(Debug)]
 pub(crate) struct RouteEntry {
-    outcome: Result<Routing, RouteError>,
+    outcome: Result<Arc<Routing>, RouteError>,
     fresh_wires: u64,
-    first_pass: Vec<Vec<RoutedSink>>,
+    first_pass_wires: Vec<u64>,
 }
 
 impl RouteEntry {
-    /// Replays iteration 0 against the modeled `cache` in net order, as
-    /// the router would have: a net the cache holds is restored and its
-    /// wires come off the fresh total; any other net's route is
-    /// inserted. The outcome and the reported work therefore equal the
-    /// router's for any cache state.
-    fn replay(
+    /// Charges the negotiation against the modeled `cache`, walking
+    /// iteration 0 in net order as the on-chip router would: a net the
+    /// cache holds is restored and its wires come off the total; any
+    /// other net is added to the cache.
+    fn charge(
         &self,
         key: &RouteKey,
-        config: &FabricConfig,
         cache: Option<&RouteCache>,
-    ) -> Result<(Routing, RouteWork), RouteError> {
+    ) -> Result<(Arc<Routing>, RouteWork), RouteError> {
         let mut work = RouteWork { routed_wires: self.fresh_wires, nets_restored: 0 };
         if let Some(cache) = cache {
-            for (net, sinks) in key.nets.iter().zip(&self.first_pass) {
-                let net_key = NetKey::of(config, net);
-                if cache.contains(&net_key) {
+            let mut held = cache.nets.lock().expect("route cache lock");
+            for (net, &wires) in key.nets.iter().zip(&self.first_pass_wires) {
+                if !held.insert(NetKey::of(key, net)) {
                     work.nets_restored += 1;
-                    work.routed_wires -= wires_of(sinks);
-                } else {
-                    cache.insert(net_key, sinks.clone());
+                    work.routed_wires -= wires;
                 }
             }
         }
@@ -194,25 +172,18 @@ impl RouteEntry {
     }
 }
 
-/// Wire segments a net's sink paths traverse.
-fn wires_of(sinks: &[RoutedSink]) -> u64 {
-    sinks.iter().map(|s| s.path.len() as u64).sum()
-}
-
-/// Cross-compile cache of first-pass net routes: the model of the
-/// on-chip router's reuse.
+/// The first-pass net routes the on-chip router has already computed,
+/// shared across compiles: the model of its reuse.
 ///
 /// Keys cover the fabric geometry, the driver slot, and the ordered
 /// sink list, so a re-warped kernel whose placement survives intact
-/// restores its wire paths instead of re-running the A* searches, and
-/// the cost model charges only the searches that ran. The restored
-/// paths are bit-identical to freshly computed ones (see the module
-/// docs), so routing results never depend on cache state — only the
-/// modeled routing work does. Saving host time without changing the
-/// modeled work is the job of a [`FabricMemo`] instead.
+/// would restore its wire paths instead of re-running the A* searches,
+/// and the cost model charges only the searches that ran. It holds only
+/// keys, compared in full; the routing itself comes from a
+/// [`FabricStore`] and never depends on the cache.
 #[derive(Debug, Default)]
 pub struct RouteCache {
-    nets: Mutex<HashMap<u64, CachedNetRoute>>,
+    nets: Mutex<HashSet<NetKey>>,
 }
 
 impl RouteCache {
@@ -222,43 +193,30 @@ impl RouteCache {
         Self::default()
     }
 
-    /// Number of memoized net routes.
+    /// Number of net routes held.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the internal lock is poisoned.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.nets.lock().expect("route cache poisoned").len()
+        self.nets.lock().expect("route cache lock").len()
     }
 
-    /// True when nothing has been memoized yet.
+    /// True when no net route is held yet.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    fn lookup(&self, key: &NetKey) -> Option<Vec<RoutedSink>> {
-        let nets = self.nets.lock().expect("route cache poisoned");
-        let cached = nets.get(&key.fingerprint())?;
-        (cached.key == *key).then(|| cached.sinks.clone())
-    }
-
-    /// Whether [`lookup`](Self::lookup) would restore `key`.
-    fn contains(&self, key: &NetKey) -> bool {
-        let nets = self.nets.lock().expect("route cache poisoned");
-        nets.get(&key.fingerprint()).is_some_and(|cached| cached.key == *key)
-    }
-
-    fn insert(&self, key: NetKey, sinks: Vec<RoutedSink>) {
-        let mut nets = self.nets.lock().expect("route cache poisoned");
-        nets.entry(key.fingerprint()).or_insert(CachedNetRoute { key, sinks });
-    }
 }
 
-/// Modeled work the router actually performed.
+/// Modeled work the on-chip router performed, given what its cache held.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct RouteWork {
     /// Wire segments traversed by freshly computed paths, summed over
     /// every iteration. Restored first-pass routes charge nothing.
     pub routed_wires: u64,
-    /// Nets whose first-pass route was restored from the cache.
+    /// Nets whose first-pass route the cache held.
     pub nets_restored: usize,
 }
 
@@ -317,20 +275,17 @@ pub fn route(
     netlist: &LutNetlist,
     placement: &Placement,
     config: &FabricConfig,
-) -> Result<Routing, RouteError> {
-    route_cached(netlist, placement, config, None, None).map(|(routing, _)| routing)
+) -> Result<Arc<Routing>, RouteError> {
+    negotiate(&collect_nets(netlist, placement), config).outcome
 }
 
-/// Routes a placed netlist, restoring first-pass net routes from
-/// `cache` when possible and reporting the work actually performed.
+/// Routes a placed netlist through the host `store`, charging every
+/// wire the router traversed except the first-pass routes of nets
+/// `cache` already held (and adding the others to it).
 ///
-/// With a `memo`, a net list routed before at this geometry is not
-/// routed again: its memoized routing is replayed against `cache`
-/// instead, which fills the cache and reports exactly the work the
-/// router would have. A memo miss runs the router and memoizes it.
-///
-/// The routing result is bit-identical with or without a cache or a
-/// memo; only [`RouteWork`] depends on the cache, and never on the memo.
+/// A net list routed before at this geometry is not routed again. The
+/// routing is bit-identical to [`route`]'s whatever `store` and `cache`
+/// hold; only [`RouteWork`] depends on the cache.
 ///
 /// # Errors
 ///
@@ -340,51 +295,32 @@ pub fn route_cached(
     netlist: &LutNetlist,
     placement: &Placement,
     config: &FabricConfig,
+    store: &FabricStore,
     cache: Option<&RouteCache>,
-    memo: Option<&FabricMemo>,
-) -> Result<(Routing, RouteWork), RouteError> {
-    let key = RouteKey {
+) -> Result<(Arc<Routing>, RouteWork), RouteError> {
+    let key = Arc::new(RouteKey {
         rows: config.rows,
         cols: config.cols,
         tracks: config.tracks,
         nets: collect_nets(netlist, placement),
+    });
+    let entry = match store.routes.get(&key) {
+        Some(entry) => entry,
+        None => {
+            let entry = Arc::new(negotiate(&key.nets, config));
+            store.routes.insert(Arc::clone(&key), Arc::clone(&entry));
+            entry
+        }
     };
-    if let Some(entry) = memo.and_then(|m| m.routing(&key)) {
-        return entry.replay(&key, config, cache);
-    }
-    let run = negotiate(&key.nets, config, cache);
-    if let Some(memo) = memo {
-        let entry = RouteEntry {
-            outcome: run.outcome.clone(),
-            fresh_wires: run.work.routed_wires + run.restored_wires,
-            first_pass: run.first_pass,
-        };
-        memo.keep_routing(key, Arc::new(entry));
-    }
-    run.outcome.map(|routing| (routing, run.work))
-}
-
-/// One run of the router: its outcome and work, plus what a
-/// [`RouteEntry`] needs to replay it — the wires of the iteration-0
-/// routes restored from the cache, and every net's iteration-0 paths.
-struct Negotiation {
-    outcome: Result<Routing, RouteError>,
-    work: RouteWork,
-    restored_wires: u64,
-    first_pass: Vec<Vec<RoutedSink>>,
+    entry.charge(&key, cache)
 }
 
 /// The negotiated-congestion router over an ordered net list.
-fn negotiate(
-    pending: &[PendingNet],
-    config: &FabricConfig,
-    cache: Option<&RouteCache>,
-) -> Negotiation {
+fn negotiate(pending: &[PendingNet], config: &FabricConfig) -> RouteEntry {
     let wires = Wires::new(config);
     let n_wires = wires.count();
-    let mut work = RouteWork::default();
-    let mut restored_wires = 0;
-    let mut first_pass: Vec<Vec<RoutedSink>> = Vec::with_capacity(pending.len());
+    let mut fresh_wires = 0;
+    let mut first_pass_wires: Vec<u64> = Vec::with_capacity(pending.len());
 
     let mut history: Vec<u64> = vec![0; n_wires];
     let mut occupancy: Vec<u16> = vec![0; n_wires];
@@ -434,27 +370,6 @@ fn negotiate(
                 }
             }
             let net = &pending[net_idx];
-            if iter == 0 {
-                if let Some(sinks) = cache.and_then(|c| c.lookup(&NetKey::of(config, net))) {
-                    let mut seen = std::collections::HashSet::new();
-                    for sink in &sinks {
-                        for &w in &sink.path {
-                            if seen.insert(w) {
-                                occupancy[w.0 as usize] += 1;
-                            }
-                        }
-                    }
-                    restored_wires += wires_of(&sinks);
-                    first_pass.push(sinks.clone());
-                    routes[net_idx] = Some(RoutedNet {
-                        driver_node: net.driver_node,
-                        driver_slot: net.driver_slot,
-                        sinks,
-                    });
-                    work.nets_restored += 1;
-                    continue;
-                }
-            }
             let (dr, dc, _) = net.driver_slot.pos(config);
             let mut routed = RoutedNet {
                 driver_node: net.driver_node,
@@ -545,11 +460,10 @@ fn negotiate(
                 let Some(goal) = found else {
                     // Completely blocked: should not happen with full
                     // connection boxes, but treat as total congestion.
-                    return Negotiation {
+                    return RouteEntry {
                         outcome: Err(RouteError::Congested { overused: usize::MAX }),
-                        work,
-                        restored_wires,
-                        first_pass,
+                        fresh_wires,
+                        first_pass_wires,
                     };
                 };
 
@@ -561,7 +475,7 @@ fn negotiate(
                     path.push(cur);
                 }
                 path.reverse();
-                work.routed_wires += path.len() as u64;
+                fresh_wires += path.len() as u64;
                 // Add new wires to tree and occupancy (skip wires already
                 // in this net's tree).
                 for &w in &path {
@@ -574,10 +488,7 @@ fn negotiate(
                 routed.sinks.push(RoutedSink { slot: sink_slot, pin, path });
             }
             if iter == 0 {
-                first_pass.push(routed.sinks.clone());
-                if let Some(c) = cache {
-                    c.insert(NetKey::of(config, net), routed.sinks.clone());
-                }
+                first_pass_wires.push(routed.sinks.iter().map(|s| s.path.len() as u64).sum());
             }
             routes[net_idx] = Some(routed);
         }
@@ -596,7 +507,7 @@ fn negotiate(
                     nets: pending.len(),
                 },
             };
-            return Negotiation { outcome: Ok(routing), work, restored_wires, first_pass };
+            return RouteEntry { outcome: Ok(Arc::new(routing)), fresh_wires, first_pass_wires };
         }
         for (w, &o) in occupancy.iter().enumerate() {
             if o > 1 {
@@ -607,12 +518,7 @@ fn negotiate(
     }
 
     let overused = occupancy.iter().filter(|&&o| o > 1).count();
-    Negotiation {
-        outcome: Err(RouteError::Congested { overused }),
-        work,
-        restored_wires,
-        first_pass,
-    }
+    RouteEntry { outcome: Err(RouteError::Congested { overused }), fresh_wires, first_pass_wires }
 }
 
 #[cfg(test)]
@@ -724,13 +630,14 @@ mod tests {
         let fresh = route(&nl, &p, &cfg).expect("accumulator must route");
         assert!(fresh.stats.nets > 0);
 
+        let store = FabricStore::default();
         let cache = RouteCache::new();
-        let (first, w1) = route_cached(&nl, &p, &cfg, Some(&cache), None).unwrap();
+        let (first, w1) = route_cached(&nl, &p, &cfg, &store, Some(&cache)).unwrap();
         assert_eq!(w1.nets_restored, 0);
         assert!(w1.routed_wires > 0);
         assert!(!cache.is_empty());
 
-        let (second, w2) = route_cached(&nl, &p, &cfg, Some(&cache), None).unwrap();
+        let (second, w2) = route_cached(&nl, &p, &cfg, &store, Some(&cache)).unwrap();
         assert_eq!(w2.nets_restored, first.stats.nets, "every first-pass route must restore");
         assert!(w2.routed_wires < w1.routed_wires, "restored first passes must not be re-charged");
 
@@ -753,7 +660,7 @@ mod tests {
 
     /// A routing outcome in comparable form, with the cache's size after.
     fn outcome(
-        result: Result<(Routing, RouteWork), RouteError>,
+        result: Result<(Arc<Routing>, RouteWork), RouteError>,
         cache: &RouteCache,
     ) -> (Result<(Flat, RouteStats, RouteWork), RouteError>, usize) {
         let flat = result.map(|(r, work)| {
@@ -767,35 +674,35 @@ mod tests {
     }
 
     #[test]
-    fn memo_replays_the_router_whatever_the_cache_held_when_it_recorded() {
+    fn a_warm_store_routes_nothing_and_charges_what_a_cold_one_does() {
         let nl = ff_netlist();
         let mut cfg = FabricConfig::sized_for(nl.lut_count(), nl.ffs().len());
         let p = place(&nl, &cfg).unwrap();
         // A congested width, then a routable one.
         for tracks in [2, 16] {
             cfg.tracks = tracks;
-            let route = |cache: &RouteCache, memo: Option<&FabricMemo>| {
-                outcome(route_cached(&nl, &p, &cfg, Some(cache), memo), cache)
+            let route = |store: &FabricStore, cache: &RouteCache| {
+                outcome(route_cached(&nl, &p, &cfg, store, Some(cache)), cache)
             };
             let primed = || {
                 let cache = RouteCache::new();
-                let _ = route_cached(&nl, &p, &cfg, Some(&cache), None);
+                let _ = route_cached(&nl, &p, &cfg, &FabricStore::default(), Some(&cache));
                 cache
             };
-            let reference = [route(&RouteCache::new(), None), route(&primed(), None)];
-            assert!(reference[1].0.as_ref().map_or(true, |(_, _, w)| w.nets_restored > 0));
+            let cold = [
+                route(&FabricStore::default(), &RouteCache::new()),
+                route(&FabricStore::default(), &primed()),
+            ];
+            if let (Ok((_, stats, empty)), Ok((_, _, held))) = (&cold[0].0, &cold[1].0) {
+                assert_eq!(held.nets_restored, stats.nets, "a primed cache holds every net");
+                assert!(held.routed_wires < empty.routed_wires);
+            }
 
-            // Recorded while the cache restores every net, replayed
-            // against an empty cache and a primed one.
-            let memo = FabricMemo::new();
-            assert_eq!(route(&primed(), Some(&memo)), reference[1], "{tracks} tracks, recording");
-            assert_eq!(
-                route(&RouteCache::new(), Some(&memo)),
-                reference[0],
-                "{tracks} tracks, empty"
-            );
-            assert_eq!(route(&primed(), Some(&memo)), reference[1], "{tracks} tracks, primed");
-            assert_eq!((memo.stats().route_hits, memo.stats().route_misses), (2, 1));
+            let warm = FabricStore::default();
+            let _ = route(&warm, &RouteCache::new());
+            assert_eq!(route(&warm, &RouteCache::new()), cold[0], "{tracks} tracks, empty");
+            assert_eq!(route(&warm, &primed()), cold[1], "{tracks} tracks, primed");
+            assert_eq!((warm.route_lookups().hits, warm.route_lookups().misses), (2, 1));
         }
     }
 

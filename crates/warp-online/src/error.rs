@@ -34,6 +34,9 @@ pub enum OnlineError {
         /// The configured budget.
         limit: u64,
     },
+    /// Advancing the session panicked (in its warp policy, say, or in a
+    /// CAD job whose panic the join re-raised); carries the message.
+    Panicked(String),
 }
 
 impl fmt::Display for OnlineError {
@@ -46,6 +49,7 @@ impl fmt::Display for OnlineError {
             OnlineError::BudgetExhausted { cycles, limit } => {
                 write!(f, "timeline budget exhausted: {cycles} cycles of {limit}")
             }
+            OnlineError::Panicked(message) => write!(f, "session panicked: {message}"),
         }
     }
 }
@@ -57,7 +61,7 @@ impl Error for OnlineError {
             OnlineError::Warp(e) => Some(e),
             OnlineError::Patch(e) => Some(e),
             OnlineError::Verify(e) => Some(e),
-            OnlineError::BudgetExhausted { .. } => None,
+            OnlineError::BudgetExhausted { .. } | OnlineError::Panicked(_) => None,
         }
     }
 }

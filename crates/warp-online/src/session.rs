@@ -31,17 +31,17 @@
 //! every host, so [`OnlineReport`]s are byte-identical across thread
 //! counts.
 //!
-//! When a [`CircuitCache`] is attached, a kernel it has memoized skips
-//! the CAD chain and pays only the bitstream write, and its sub-kernel
-//! [`CadCaches`] ride along into background compiles: a re-warp of a
-//! shifted-but-similar kernel replays mapped LUT cones, placements, and
-//! first-pass net routes, producing a bit-identical circuit while
-//! charging only the delta work to the timeline (see
-//! [`warp_core::pipeline::compile_circuit_cached`]). A session without a
-//! cache keeps private modeled [`CadCaches`], built at its first compile
-//! over its [`CadService`]'s host memo: tenancy stays invisible to its
-//! timeline, yet the host places and routes a netlist once per service
-//! however many of the service's sessions warp it.
+//! Every compile computes through its [`CadService`]'s host store, so
+//! the host maps, places, and routes each input once per service, and
+//! charges the timeline only for what the session's modeled
+//! [`CadCaches`] did not already hold. When a [`CircuitCache`] is
+//! attached, a kernel it has memoized skips the CAD chain and pays only
+//! the bitstream write, and the cache's [`CadCaches`] are the ones
+//! charged: a re-warp of a shifted-but-similar kernel reuses mapped LUT
+//! cones, placements, and first-pass net routes, charging only the delta
+//! work (see [`warp_core::pipeline::compile_circuit_cached`]). A session
+//! without a cache keeps private [`CadCaches`], so tenancy stays
+//! invisible to its timeline.
 //!
 //! Hot-patching happens between slices through
 //! [`System::imem_mut`]; the pre-decoded fetch store invalidates itself
@@ -202,8 +202,8 @@ pub struct OnlineSession {
     /// The CAD pool; a session given none creates one at its first
     /// compile.
     service: Option<Arc<CadService>>,
-    /// The modeled CAD tiers: the circuit cache's, or private ones over
-    /// the service's memo, built at the first compile.
+    /// The modeled CAD tiers: the circuit cache's, or private ones
+    /// built at the first compile.
     cad_caches: Option<Arc<CadCaches>>,
     /// Shared-image + recycled-`System` store (see [`SessionPool`]).
     pool: Option<Arc<SessionPool>>,
@@ -289,13 +289,13 @@ impl OnlineSession {
         self
     }
 
-    /// Shares a CAD worker pool, and its host memo of placements and
-    /// routings, instead of owning one. A server hosting thousands of
-    /// sessions passes one pool; results are still consumed only at
-    /// deterministic simulated-time boundaries, and the memo reports
-    /// the same modeled work as the tools it stands in for, so neither
-    /// the pool (with its contention) nor the memo leaks into the
-    /// modeled timeline.
+    /// Shares a CAD worker pool, and the host store its compiles
+    /// compute through, instead of owning one. A server hosting
+    /// thousands of sessions passes one pool; results are still
+    /// consumed only at deterministic simulated-time boundaries, and
+    /// the store never changes the modeled work, so neither the pool
+    /// (with its contention) nor the store leaks into the modeled
+    /// timeline.
     #[must_use]
     pub fn with_service(mut self, service: Arc<CadService>) -> Self {
         self.service = Some(service);
@@ -804,7 +804,7 @@ pub(crate) fn rejects_region(e: &WarpError) -> bool {
 /// the cached circuit as [`CadState::Ready`] or submits compilation to
 /// a background worker as [`CadState::InFlight`]. The first compile of
 /// a session given no service creates it, and the first of a session
-/// given no CAD caches builds them over the service's memo.
+/// given no CAD caches builds private ones.
 ///
 /// `Ok(None)` means decompilation or patch planning rejected the
 /// region (blacklist it). Fabric rejections surface later, at the
@@ -862,11 +862,10 @@ fn begin_warp(
     let join_at =
         now + to_timeline_cycles(floor_dpm, config.mb.clock_hz, config.options.dpm_clock_hz);
     let service = service.get_or_insert_with(|| Arc::new(CadService::from_env()));
-    let caches = Arc::clone(
-        cad_caches.get_or_insert_with(|| Arc::new(CadCaches::over(Arc::clone(service.memo())))),
-    );
-    let handle =
-        service.submit(move || pipeline::compile_circuit_cached(&decompiled, Some(&caches)));
+    let caches = Arc::clone(cad_caches.get_or_insert_with(Arc::default));
+    let store = Arc::clone(service.store());
+    let handle = service
+        .submit(move || pipeline::compile_circuit_cached(&decompiled, &store, Some(&caches)));
     Ok(Some(CadState::InFlight(InFlightWarp {
         region: *region,
         plan,
@@ -886,6 +885,11 @@ fn to_timeline_cycles(dpm_cycles: u64, mb_hz: u64, dpm_hz: u64) -> u64 {
 /// Converts the OCPM's modeled CAD cycles (at its own clock) into
 /// MicroBlaze timeline cycles. A circuit-cache hit skips the whole CAD
 /// chain and pays only the reconfiguration — the bitstream write.
+///
+/// That holds for every kernel the cache has memoised, resident or not:
+/// a kernel evicted from the modeled on-chip residency and re-admitted
+/// is charged exactly what a resident hit is, the bitstream write, and
+/// never a recompile (pinned by `tests/pooling.rs`).
 pub(crate) fn cad_timeline_cycles(
     dpm: &DpmReport,
     cache_hit: bool,

@@ -10,7 +10,8 @@
 //!    its outcome: the sibling stays byte-identical to an unshared run.
 //! 3. **Pooling is invisible to the shared cache** — a kernel evicted
 //!    from a bounded cache's modeled residency comes back from its host
-//!    memo as a hit, whether or not the session is pooled.
+//!    memo as a hit, charged what a resident hit is, whether or not the
+//!    session is pooled.
 //! 4. **Parked carcasses hold no private copies** — a session that
 //!    finishes with a standing patch parks its `System` back on the
 //!    shared image.
@@ -147,14 +148,16 @@ fn hot_patching_one_pooled_sibling_never_perturbs_the_other() {
 }
 
 /// brev, then crc32 (evicting brev from a one-entry residency), then
-/// brev again: the third session is served brev's circuit from the
-/// cache's host memo — a hit that re-admits it, not a recompile — and
-/// a pooled fleet reports exactly what an unpooled one does.
+/// brev again, then brev once more: the third session is served brev's
+/// circuit from the cache's host memo — a hit that re-admits it, not a
+/// recompile — and pays what the fourth, finding brev resident, pays:
+/// the bitstream write only. A pooled fleet reports exactly what an
+/// unpooled one does.
 #[test]
 fn evicted_kernels_return_from_the_memo_pooled_or_not() {
     let build =
         |name: &str| Arc::new(workloads::by_name(name).unwrap().build(MbFeatures::paper_default()));
-    let programs = [build("brev"), build("crc32"), build("brev")];
+    let programs = [build("brev"), build("crc32"), build("brev"), build("brev")];
     let fleet = |pool: Option<Arc<SessionPool>>| {
         let cache = Arc::new(CircuitCache::bounded(1));
         let reports: Vec<_> = programs
@@ -177,9 +180,16 @@ fn evicted_kernels_return_from_the_memo_pooled_or_not() {
     let (unpooled, unpooled_stats) = fleet(None);
 
     assert_eq!(pooled, unpooled, "pooling must not change any report");
-    assert!(!pooled[0].events[0].cache_hit);
-    assert!(pooled[2].events[0].cache_hit, "the evicted kernel must come back as a hit");
+    let [cold, readmitted, resident] = [0, 2, 3].map(|i| &pooled[i].events[0]);
+    assert!(!cold.cache_hit);
+    assert!(readmitted.cache_hit, "the evicted kernel must come back as a hit");
+    assert!(resident.cache_hit);
+    assert_eq!(
+        readmitted.cad_cycles, resident.cad_cycles,
+        "a residency miss on a memoised kernel is charged the bitstream write only"
+    );
+    assert!(resident.cad_cycles < cold.cad_cycles);
     for stats in [pooled_stats, unpooled_stats] {
-        assert_eq!((stats.hits, stats.misses), (1, 2), "{stats:?}");
+        assert_eq!((stats.hits, stats.misses), (2, 2), "{stats:?}");
     }
 }

@@ -43,6 +43,10 @@
 //!   `System` carcasses, so the steady-state serving path allocates
 //!   nothing per session. Pooling is bit-identical plumbing (see
 //!   `warp-online/tests/pooling.rs`), so determinism is untouched.
+//! * **A panic costs one session.** A worker catches a panic while it
+//!   advances a session (from a user policy, say), drops that session,
+//!   and parks [`OnlineError::Panicked`] as its outcome for
+//!   [`Server::wait`]; the worker keeps serving.
 //!
 //! Determinism: a session's timeline depends only on the sequence of
 //! `advance` calls applied to it, never on wall-clock or on which
@@ -56,7 +60,9 @@
 //! The cache's own counters (hits, misses, evictions) depend on arrival
 //! order too.
 
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -515,8 +521,9 @@ fn worker_loop(shared: &Shared, me: usize, quantum_slices: u64) {
 
         // Advance outside every lock: this is the expensive part, and
         // the whole point — many workers simulate many sessions at once.
+        // A panic costs this session, never the worker.
         session.adopt_pool(&pool);
-        let status = session.advance(budget);
+        let advanced = panic::catch_unwind(AssertUnwindSafe(|| session.advance(budget)));
         shared.fleet.quanta.fetch_add(1, Ordering::Relaxed);
 
         // Park the result back into its home shard.
@@ -534,6 +541,19 @@ fn worker_loop(shared: &Shared, me: usize, quantum_slices: u64) {
             continue;
         }
         slot.grant = slot.grant.saturating_sub(budget);
+        let status = match advanced {
+            Ok(status) => status,
+            Err(payload) => {
+                // Drop the machine, whose state the panic interrupted,
+                // and park its failure for `wait`.
+                shared.fleet.failed.fetch_add(1, Ordering::Relaxed);
+                slot.snapshot.done = true;
+                slot.state = SlotState::Done(Some(Err(OnlineError::Panicked(message(&*payload)))));
+                drop(inner);
+                shard.park_cv.notify_all();
+                continue;
+            }
+        };
         slot.snapshot = snapshot_of(&session, status != SessionStatus::Runnable);
         let mut requeued = false;
         match status {
@@ -570,6 +590,15 @@ fn worker_loop(shared: &Shared, me: usize, quantum_slices: u64) {
             // Other workers may be asleep while this shard has work.
             shared.signal_work();
         }
+    }
+}
+
+/// The message a panic payload carries, if it is a string.
+fn message(payload: &(dyn Any + Send)) -> String {
+    match (payload.downcast_ref::<&str>(), payload.downcast_ref::<String>()) {
+        (Some(s), _) => (*s).to_string(),
+        (_, Some(s)) => s.clone(),
+        _ => "non-string panic payload".to_string(),
     }
 }
 

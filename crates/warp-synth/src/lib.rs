@@ -18,6 +18,8 @@
 //! * [`map`] — technology mapping into 3-input LUTs by greedy cut
 //!   enlargement, producing the [`LutNetlist`] that
 //!   placement and routing consume.
+//! * [`store`] — the host stores the CAD stages compute through: each
+//!   artifact kept once by its full input.
 //!
 //! Every stage is checked for functional equivalence against the DFG's
 //! reference evaluation (see the crate's tests), so a synthesis bug
@@ -30,6 +32,7 @@ pub mod bits;
 mod lower;
 pub mod map;
 pub mod rocm;
+pub mod store;
 
 pub use bits::{BitDef, BitId, GateNetlist, InputWord, NetlistStats, Word};
 pub use lower::{synthesize, SynthReport};

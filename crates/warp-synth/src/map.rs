@@ -9,21 +9,20 @@
 //! Mapping is organized around **root cones** (one per output bit,
 //! flip-flop input, and MAC operand bit — the "LUT clusters" of the
 //! incremental flow): every decision the mapper makes for a cone is a
-//! pure function of the cone's transitive fan-in structure, so a
-//! [`MapCache`] can memoize mapped cones by content hash and replay
-//! them bit-identically when a *similar* kernel re-warps. The work that
-//! was actually performed (vs. replayed) is reported in [`MapWork`] and
-//! feeds the on-chip CAD cost model.
+//! pure function of the cone's canonical fan-in structure. So a host
+//! [`MapStore`] keeps each cone's mapping plan once and replays it
+//! bit-identically, while a [`MapCache`] models the cones the on-chip
+//! mapper has already seen. [`MapWork`] charges only the cones that
+//! cache did not hold, and feeds the on-chip CAD cost model.
 
 use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use mb_isa::Reg;
-use warp_cdfg::fingerprint::Fnv1a;
 
 use crate::bits::{BitDef, BitId, GateNetlist, InputWord};
 use crate::rocm;
+use crate::store::{Lookups, Table};
 
 /// Index of a node in a [`LutNetlist`].
 pub type LutRef = u32;
@@ -388,33 +387,48 @@ enum CanonBit {
     },
 }
 
-/// One materialized bit of a cached cone: its fan-in rank and, for
+/// One materialized bit of a mapped cone: its fan-in rank and, for
 /// gates, the chosen cut (as ranks) plus LUT truth table (`None` for
 /// leaves and constants, which materialize from their own defs).
 type PlannedBit = (u32, Option<(Vec<u32>, u8)>);
 
-/// A memoized root-cone mapping: which fan-in ranks materialize, and
-/// the gate plan for each.
-#[derive(Clone, PartialEq, Debug)]
-struct CachedCone {
-    /// The canonical structure — stored in full so a hash collision is
-    /// detected by equality instead of silently replaying the wrong
-    /// cone.
-    canon: Vec<CanonBit>,
-    /// `(rank, gate plan)` for every bit the mapped cone materializes.
-    needed: Vec<PlannedBit>,
+/// A canonical cone, shared by the store and the caches that hold it.
+type Cone = Arc<[CanonBit]>;
+
+/// A stored cone mapping plan.
+type ConePlan = Arc<[PlannedBit]>;
+
+/// The host store of cone mapping plans: `(rank, gate plan)` for every
+/// bit a mapped cone materializes, keyed by the canonical cone.
+///
+/// [`map_netlist_cached`] runs cut enumeration only for the cones this
+/// store misses and replays the rest, producing a bit-identical
+/// [`LutNetlist`] either way. The store never changes the reported
+/// [`MapWork`].
+#[derive(Debug, Default)]
+pub struct MapStore {
+    plans: Table<Cone, [PlannedBit]>,
 }
 
-/// Memoized root-cone mappings, shared across compiles.
+impl MapStore {
+    /// Cone lookups the store served or missed so far: one per
+    /// distinct cone of every netlist mapped through it, so a miss is
+    /// one cone plan computed.
+    #[must_use]
+    pub fn lookups(&self) -> Lookups {
+        self.plans.lookups()
+    }
+}
+
+/// The canonical cones the on-chip mapper has already mapped, shared
+/// across compiles: the model of its reuse.
 ///
-/// The cache is purely an accelerator: [`map_netlist_cached`] produces
-/// a bit-identical [`LutNetlist`] whether a cone is replayed or mapped
-/// from scratch — only the reported [`MapWork`] changes. Entries are
-/// verified structurally on every hit, so a content-hash collision
-/// degrades to a miss, never to a wrong netlist.
+/// It holds only keys. A cone it holds is charged nothing in
+/// [`MapWork`]; the mapping itself comes from a [`MapStore`] either way.
+/// Cones are compared in full, so two distinct cones never alias.
 #[derive(Debug, Default)]
 pub struct MapCache {
-    cones: Mutex<HashMap<u64, CachedCone>>,
+    cones: Mutex<HashSet<Cone>>,
 }
 
 impl MapCache {
@@ -424,7 +438,7 @@ impl MapCache {
         Self::default()
     }
 
-    /// Number of memoized cones.
+    /// Number of cones held.
     ///
     /// # Panics
     ///
@@ -439,27 +453,18 @@ impl MapCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    fn lookup(&self, key: u64, canon: &[CanonBit]) -> Option<CachedCone> {
-        let cones = self.cones.lock().expect("map cache lock");
-        cones.get(&key).filter(|c| c.canon == canon).cloned()
-    }
-
-    fn insert(&self, key: u64, cone: CachedCone) {
-        self.cones.lock().expect("map cache lock").entry(key).or_insert(cone);
-    }
 }
 
-/// Mapping work actually performed (vs. replayed from a [`MapCache`]),
-/// for the on-chip CAD cost model.
+/// Mapping work the on-chip mapper performed (cones a [`MapCache`]
+/// did not hold), for the on-chip CAD cost model.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash)]
 pub struct MapWork {
     /// Unique root cones (LUT clusters) in this netlist.
     pub clusters: u64,
-    /// Clusters replayed from the cache.
+    /// Clusters the cache held.
     pub clusters_reused: u64,
-    /// Gate bits that went through cut enumeration — the mapping work
-    /// the lean processor actually performed.
+    /// Gate bits in the fan-in of the clusters the cache did not hold:
+    /// the cut enumeration the lean processor performed.
     pub gates_enumerated: u64,
 }
 
@@ -496,7 +501,7 @@ fn cone_tfi(n: &GateNetlist, root: BitId) -> Vec<BitId> {
 }
 
 /// Canonicalizes a cone: each fan-in bit becomes its rank-renamed def.
-fn canonicalize(n: &GateNetlist, tfi: &[BitId]) -> Vec<CanonBit> {
+fn canonicalize(n: &GateNetlist, tfi: &[BitId]) -> Cone {
     let rank: HashMap<BitId, u32> = tfi.iter().enumerate().map(|(k, &b)| (b, k as u32)).collect();
     tfi.iter()
         .map(|&b| match n.def(b) {
@@ -513,13 +518,6 @@ fn canonicalize(n: &GateNetlist, tfi: &[BitId]) -> Vec<CanonBit> {
         .collect()
 }
 
-/// Stable content hash of a canonical cone (the [`MapCache`] key).
-fn canon_key(canon: &[CanonBit]) -> u64 {
-    let mut h = Fnv1a::new();
-    canon.hash(&mut h);
-    h.finish()
-}
-
 /// Maps a gate netlist onto 3-input LUTs.
 ///
 /// Every output bit, flip-flop input, and MAC operand is materialized;
@@ -527,17 +525,21 @@ fn canon_key(canon: &[CanonBit]) -> u64 {
 /// exists.
 #[must_use]
 pub fn map_netlist(n: &GateNetlist) -> LutNetlist {
-    map_netlist_cached(n, None).0
+    map_netlist_cached(n, &MapStore::default(), None).0
 }
 
-/// Maps a gate netlist onto 3-input LUTs, replaying root cones whose
-/// structure is already memoized in `cache` (and memoizing the rest).
+/// Maps a gate netlist onto 3-input LUTs through the host `store`,
+/// charging in [`MapWork`] only the root cones `cache` did not hold
+/// (and adding them to it).
 ///
-/// The produced netlist is **bit-identical** to [`map_netlist`]'s —
-/// from-scratch mapping *is* this function with an empty cache; the
-/// cache only changes the [`MapWork`] accounting.
+/// The produced netlist is **bit-identical** to [`map_netlist`]'s
+/// whatever `store` and `cache` hold. The work depends on `cache` only.
 #[must_use]
-pub fn map_netlist_cached(n: &GateNetlist, cache: Option<&MapCache>) -> (LutNetlist, MapWork) {
+pub fn map_netlist_cached(
+    n: &GateNetlist,
+    store: &MapStore,
+    cache: Option<&MapCache>,
+) -> (LutNetlist, MapWork) {
     let defs_len = n.defs().len();
     let mut work = MapWork::default();
 
@@ -556,21 +558,38 @@ pub fn map_netlist_cached(n: &GateNetlist, cache: Option<&MapCache>) -> (LutNetl
     // replayed (fresh cones compute truths at materialization).
     let mut plan: Vec<Option<(Vec<BitId>, Option<u8>)>> = vec![None; defs_len];
     let mut needed = vec![false; defs_len];
+    let mut charged = vec![false; defs_len];
     let mut tfis: Vec<Vec<BitId>> = Vec::with_capacity(roots.len());
-    let mut canons: Vec<Vec<CanonBit>> = Vec::with_capacity(roots.len());
-    let mut keys: Vec<u64> = Vec::with_capacity(roots.len());
-    let mut missed: Vec<usize> = Vec::new();
+    let mut cones: Vec<Cone> = Vec::with_capacity(roots.len());
+    let mut fresh: Vec<usize> = Vec::new();
+    // Whether the cache held each distinct cone, and its stored plan: a
+    // cone that recurs in this netlist shares its first root's lookups.
+    let mut looked_up: HashMap<Cone, (bool, Option<ConePlan>)> = HashMap::new();
 
     for (i, &r) in roots.iter().enumerate() {
         let tfi = cone_tfi(n, r);
-        let canon = canonicalize(n, &tfi);
-        let key = canon_key(&canon);
-        match cache.and_then(|c| c.lookup(key, &canon)) {
-            Some(cone) => {
+        let cone = canonicalize(n, &tfi);
+        let (held, planned) = looked_up
+            .entry(Arc::clone(&cone))
+            .or_insert_with(|| {
+                let held = cache.map(|c| c.cones.lock().expect("map cache lock"));
+                (held.is_some_and(|h| h.contains(&cone)), store.plans.get(&cone))
+            })
+            .clone();
+        // The on-chip mapper enumerates the fan-in of every cone its
+        // cache does not hold.
+        if held {
+            work.clusters_reused += 1;
+        } else {
+            for &id in &tfi {
+                charged[id as usize] = true;
+            }
+        }
+        match planned {
+            Some(planned) => {
                 // Replay: mark the cone's needed closure and record each
                 // gate's cut and truth, translated back from ranks.
-                work.clusters_reused += 1;
-                for (rank, gate) in &cone.needed {
+                for (rank, gate) in planned.iter() {
                     let id = tfi[*rank as usize];
                     needed[id as usize] = true;
                     if let (Some((cut_ranks, truth)), None) = (gate, &plan[id as usize]) {
@@ -580,34 +599,32 @@ pub fn map_netlist_cached(n: &GateNetlist, cache: Option<&MapCache>) -> (LutNetl
                     }
                 }
             }
-            None => missed.push(i),
+            None => fresh.push(i),
         }
         tfis.push(tfi);
-        canons.push(canon);
-        keys.push(key);
+        cones.push(cone);
     }
+    work.gates_enumerated =
+        (0..defs_len).filter(|&id| charged[id] && n.def(id as BitId).is_gate()).count() as u64;
 
-    // Cut enumeration over the union of missed cones' fan-ins only —
-    // this is the work the incremental flow skips.
+    // Cut enumeration over the union of the store-missed cones' fan-ins
+    // only: every other cone replayed its plan.
     let mut in_scope = vec![false; defs_len];
-    for &i in &missed {
+    for &i in &fresh {
         for &id in &tfis[i] {
             in_scope[id as usize] = true;
         }
     }
     let own_cuts = enumerate_cuts(n, Some(&in_scope));
     for id in 0..defs_len as BitId {
-        if in_scope[id as usize] && n.def(id).is_gate() {
-            work.gates_enumerated += 1;
-            if plan[id as usize].is_none() {
-                plan[id as usize] = Some((choose_cut(&own_cuts[id as usize]), None));
-            }
+        if in_scope[id as usize] && n.def(id).is_gate() && plan[id as usize].is_none() {
+            plan[id as usize] = Some((choose_cut(&own_cuts[id as usize]), None));
         }
     }
 
-    // Needed bits for missed roots: the root plus, transitively, cut
+    // Needed bits for fresh roots: the root plus, transitively, cut
     // members of needed gates. (Replayed cones marked theirs above.)
-    for &i in &missed {
+    for &i in &fresh {
         let mut stack = vec![roots[i]];
         while let Some(b) = stack.pop() {
             if needed[b as usize] {
@@ -682,39 +699,45 @@ pub fn map_netlist_cached(n: &GateNetlist, cache: Option<&MapCache>) -> (LutNetl
         });
     }
 
-    // Memoize every freshly mapped cone: its root-local needed closure
-    // with the final cuts and truths, rank-renamed.
-    if let Some(cache) = cache {
-        for &i in &missed {
-            let tfi = &tfis[i];
-            let rank: HashMap<BitId, u32> =
-                tfi.iter().enumerate().map(|(k, &b)| (b, k as u32)).collect();
-            let mut local = vec![false; tfi.len()];
-            let mut stack = vec![roots[i]];
-            while let Some(b) = stack.pop() {
-                let rk = rank[&b] as usize;
-                if local[rk] {
-                    continue;
-                }
-                local[rk] = true;
-                if let Some((cut, _)) = &plan[b as usize] {
-                    stack.extend(cut.iter().copied());
-                }
-            }
-            let needed_ranks: Vec<PlannedBit> = tfi
-                .iter()
-                .enumerate()
-                .filter(|&(k, _)| local[k])
-                .map(|(k, &b)| {
-                    let gate = plan[b as usize].as_ref().map(|(cut, _)| {
-                        let cut_ranks: Vec<u32> = cut.iter().map(|m| rank[m]).collect();
-                        (cut_ranks, final_truth[b as usize].expect("needed gate materialized"))
-                    });
-                    (k as u32, gate)
-                })
-                .collect();
-            cache.insert(keys[i], CachedCone { canon: canons[i].clone(), needed: needed_ranks });
+    // Store every freshly mapped cone's plan, once: its root-local
+    // needed closure with the final cuts and truths, rank-renamed.
+    for &i in &fresh {
+        let (_, stored) = looked_up.get_mut(&cones[i]).expect("every cone was looked up");
+        if stored.is_some() {
+            continue;
         }
+        let tfi = &tfis[i];
+        let rank: HashMap<BitId, u32> =
+            tfi.iter().enumerate().map(|(k, &b)| (b, k as u32)).collect();
+        let mut local = vec![false; tfi.len()];
+        let mut stack = vec![roots[i]];
+        while let Some(b) = stack.pop() {
+            let rk = rank[&b] as usize;
+            if local[rk] {
+                continue;
+            }
+            local[rk] = true;
+            if let Some((cut, _)) = &plan[b as usize] {
+                stack.extend(cut.iter().copied());
+            }
+        }
+        let planned: ConePlan = tfi
+            .iter()
+            .enumerate()
+            .filter(|&(k, _)| local[k])
+            .map(|(k, &b)| {
+                let gate = plan[b as usize].as_ref().map(|(cut, _)| {
+                    let cut_ranks: Vec<u32> = cut.iter().map(|m| rank[m]).collect();
+                    (cut_ranks, final_truth[b as usize].expect("needed gate materialized"))
+                });
+                (k as u32, gate)
+            })
+            .collect();
+        store.plans.insert(Arc::clone(&cones[i]), Arc::clone(&planned));
+        *stored = Some(planned);
+    }
+    if let Some(cache) = cache {
+        cache.cones.lock().expect("map cache lock").extend(cones);
     }
 
     (out, work)
@@ -799,7 +822,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_mapping_is_bit_identical_and_skips_replayed_work() {
+    fn cached_mapping_is_bit_identical_and_charges_only_unheld_cones() {
         let adder = || {
             let mut n = GateNetlist::new();
             let a = n.input_word(InputWord::Load { stream: 0, offset: 0 });
@@ -811,20 +834,30 @@ mod tests {
         let n = adder();
         let fresh = map_netlist(&n);
 
+        let store = MapStore::default();
         let cache = MapCache::new();
-        let (first, w1) = map_netlist_cached(&n, Some(&cache));
+        let (first, w1) = map_netlist_cached(&n, &store, Some(&cache));
         assert_eq!(first, fresh, "an empty cache must not change the mapping");
         assert_eq!(w1.clusters_reused, 0);
         assert!(w1.gates_enumerated > 0);
         assert!(!cache.is_empty());
+        assert_eq!(store.lookups().hits, 0);
 
         // The same structure again (a fresh netlist, so ids could in
-        // principle differ): every cone replays, zero enumeration, and
+        // principle differ): every cone is held, zero enumeration, and
         // the result is still bit-identical.
-        let (second, w2) = map_netlist_cached(&adder(), Some(&cache));
+        let (second, w2) = map_netlist_cached(&adder(), &store, Some(&cache));
         assert_eq!(second, fresh, "replayed mapping must be bit-identical");
         assert_eq!(w2.clusters_reused, w2.clusters, "every cone must hit");
         assert_eq!(w2.gates_enumerated, 0, "no cut enumeration on a full hit");
+
+        // A warm store over an empty cache replays every plan, yet
+        // charges exactly what the first compile did.
+        let misses = store.lookups().misses;
+        let (third, w3) = map_netlist_cached(&adder(), &store, Some(&MapCache::new()));
+        assert_eq!(third, fresh);
+        assert_eq!(w3, w1, "the store never changes the charged work");
+        assert_eq!(store.lookups().misses, misses, "a warm store computes nothing");
     }
 
     #[test]
@@ -843,11 +876,12 @@ mod tests {
             n.output(0, y);
             n
         };
+        let store = MapStore::default();
         let cache = MapCache::new();
-        let (_, w1) = map_netlist_cached(&mixer(3, 7), Some(&cache));
+        let (_, w1) = map_netlist_cached(&mixer(3, 7), &store, Some(&cache));
         assert_eq!(w1.clusters_reused, 0);
         let n2 = mixer(5, 9);
-        let (mapped, w2) = map_netlist_cached(&n2, Some(&cache));
+        let (mapped, w2) = map_netlist_cached(&n2, &store, Some(&cache));
         assert_eq!(mapped, map_netlist(&n2), "reuse must not change the result");
         assert_eq!(w2.clusters_reused, w2.clusters, "all mixer cone shapes recur");
         assert_eq!(w2.gates_enumerated, 0);

@@ -32,36 +32,30 @@ pub mod device;
 pub mod executor;
 pub mod patch;
 
-use std::sync::Arc;
-
 use warp_cdfg::LoopKernel;
-use warp_fabric::{CompiledCircuit, FabricCaches, FabricConfig, FabricMemo, FabricWork};
-use warp_synth::map::{MapCache, MapWork};
+use warp_fabric::{CompiledCircuit, FabricCaches, FabricConfig, FabricStore, FabricWork};
+use warp_synth::map::{MapCache, MapStore, MapWork};
+use warp_synth::store::Lookups;
 use warp_synth::{LutNetlist, SynthReport};
 
 pub use device::{WclaDevice, WclaStats, WCLA_BASE, WCLA_WINDOW};
 pub use executor::ExecModel;
 pub use patch::{apply_patch, stub_base_for, PatchPlan, STUB_GAP_WORDS};
 
-/// Memoization caches spanning the whole CAD back end: technology
-/// mapping cones, placements, and first-pass net routes.
+/// The modeled reuse tiers of the whole CAD back end: the canonical
+/// mapping cones, placement views, and first-pass net routes the
+/// on-chip tools have already computed.
 ///
-/// These are the *modeled* tiers: the on-chip tools' reuse. Compiling
-/// with caches never changes any artifact — a from-scratch compile is
-/// exactly an incremental compile with empty caches — it only changes
-/// the work a [`CadWork`] reports, and hence the modeled CAD time
-/// charged to the online timeline.
-///
-/// Caches built [`over`](CadCaches::over) a host [`FabricMemo`] also
-/// skip the placer and router runs that memo has seen, reporting the
-/// same work as if they had run. Technology mapping has no host memo:
-/// its modeled work depends on the union of the cones that missed
-/// `map`, so it runs on every compile.
+/// The tiers hold only keys. Every artifact comes from a [`CadStore`],
+/// so compiling with caches never changes a circuit — a from-scratch
+/// compile is exactly an incremental compile with empty caches — it
+/// only changes the work a [`CadWork`] reports, and hence the modeled
+/// CAD time charged to the online timeline.
 #[derive(Debug, Default)]
 pub struct CadCaches {
-    /// Mapped LUT-cone cache (sub-kernel fingerprints).
+    /// Canonical mapping cones already mapped.
     pub map: MapCache,
-    /// Placement and routing caches.
+    /// Placement views and net routes already computed.
     pub fabric: FabricCaches,
 }
 
@@ -71,21 +65,52 @@ impl CadCaches {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// Creates empty caches whose placement and routing run over the
-    /// shared host `memo`.
+/// The host store every compile computes through: each stage's
+/// artifact, kept once by the stage's full input (canonical cone,
+/// placement view, routing key). What the store serves is never
+/// charged, so it changes no [`CadWork`]; it only spares the host the
+/// work it has already done. Unbounded; it lives as long as its owner.
+#[derive(Debug, Default)]
+pub struct CadStore {
+    /// Cone mapping plans.
+    pub map: MapStore,
+    /// Placements and negotiated routings.
+    pub fabric: FabricStore,
+}
+
+/// Host lookups a [`CadStore`] served or missed, per stage. These count
+/// host work, which no modeled counter shows.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct StoreStats {
+    /// Cone plan lookups.
+    pub map: Lookups,
+    /// Placement lookups.
+    pub place: Lookups,
+    /// Routing lookups.
+    pub route: Lookups,
+}
+
+impl CadStore {
+    /// Lookups so far, per stage.
     #[must_use]
-    pub fn over(memo: Arc<FabricMemo>) -> Self {
-        CadCaches { map: MapCache::default(), fabric: FabricCaches::over(memo) }
+    pub fn stats(&self) -> StoreStats {
+        StoreStats {
+            map: self.map.lookups(),
+            place: self.fabric.place_lookups(),
+            route: self.fabric.route_lookups(),
+        }
     }
 }
 
-/// Work the CAD back end actually performed for one compile.
+/// Work the on-chip CAD tools performed for one compile, given what
+/// its [`CadCaches`] already held.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct CadWork {
-    /// Technology-mapping work (cones mapped vs. replayed).
+    /// Technology-mapping work (cones mapped vs. held).
     pub map: MapWork,
-    /// Place & route work (attempts, fresh wires, restored nets).
+    /// Place & route work (attempts, fresh wires, held nets).
     pub fabric: FabricWork,
 }
 
@@ -117,27 +142,32 @@ impl WclaCircuit {
     ///
     /// Propagates fabric capacity/routability errors.
     pub fn build(kernel: LoopKernel) -> Result<(Self, SynthReport), warp_fabric::CompileError> {
-        Self::build_cached(kernel, None).map(|(circuit, report, _)| (circuit, report))
+        Self::build_cached(kernel, &CadStore::default(), None)
+            .map(|(circuit, report, _)| (circuit, report))
     }
 
-    /// [`WclaCircuit::build`] with memoization: reuses mapped cones,
-    /// placements, and net routes from `caches`, reporting the work
-    /// actually performed. The circuit is bit-identical with or without
-    /// caches.
+    /// [`WclaCircuit::build`] through the host `store`, reporting the
+    /// work the on-chip tools performed given what `caches` already held.
+    /// The circuit is bit-identical whatever the store and the caches
+    /// hold.
     ///
     /// # Errors
     ///
     /// Propagates fabric capacity/routability errors.
     pub fn build_cached(
         kernel: LoopKernel,
+        store: &CadStore,
         caches: Option<&CadCaches>,
     ) -> Result<(Self, SynthReport, CadWork), warp_fabric::CompileError> {
         let report = warp_synth::synthesize(&kernel);
-        let (netlist, map_work) =
-            warp_synth::map::map_netlist_cached(&report.netlist, caches.map(|c| &c.map));
+        let (netlist, map_work) = warp_synth::map::map_netlist_cached(
+            &report.netlist,
+            &store.map,
+            caches.map(|c| &c.map),
+        );
         let base = FabricConfig::sized_for(netlist.lut_count(), netlist.ffs().len());
         let (compiled, fabric_work) =
-            warp_fabric::compile_cached(&netlist, &base, caches.map(|c| &c.fabric))?;
+            warp_fabric::compile_cached(&netlist, &base, &store.fabric, caches.map(|c| &c.fabric))?;
         let model = ExecModel::derive(&kernel, &netlist, &compiled);
         let work = CadWork { map: map_work, fabric: fabric_work };
         Ok((WclaCircuit { kernel, netlist, compiled, model }, report, work))

@@ -254,7 +254,7 @@ fn phased_workload_rewarps_with_eviction() {
 fn incremental_rewarp_is_bit_identical_to_from_scratch() {
     use warp_mb::warp_core::pipeline;
     use warp_mb::warp_profiler::HotRegion;
-    use warp_mb::warp_wcla::CadCaches;
+    use warp_mb::warp_wcla::{CadCaches, CadStore};
 
     let built = workloads::phased::build(MbFeatures::paper_default());
     let [kernel_a, kernel_a2, _] = workloads::phased::phase_kernels(&built);
@@ -265,8 +265,9 @@ fn incremental_rewarp_is_bit_identical_to_from_scratch() {
     // Warm the sub-kernel caches with phase A, then compile A' through
     // them (the evict + re-warp path) and from scratch.
     let caches = CadCaches::new();
-    let a = pipeline::compile_circuit_cached(&da, Some(&caches)).unwrap();
-    let incremental = pipeline::compile_circuit_cached(&da2, Some(&caches)).unwrap();
+    let store = CadStore::default();
+    let a = pipeline::compile_circuit_cached(&da, &store, Some(&caches)).unwrap();
+    let incremental = pipeline::compile_circuit_cached(&da2, &store, Some(&caches)).unwrap();
     let scratch = pipeline::compile_circuit(&da2).unwrap();
 
     // Bit-identity: every artifact that reaches hardware or the
