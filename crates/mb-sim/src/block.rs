@@ -49,6 +49,7 @@ use std::sync::Arc;
 
 use mb_isa::{Cond, Insn, MbFeatures, MemSize, OpClass, Reg, ShiftKind};
 
+use crate::image::Shareable;
 use crate::predecode::{DecodeCache, Predecoded};
 use crate::Bram;
 
@@ -215,44 +216,11 @@ pub(crate) struct Tables {
     opb: Vec<bool>,
 }
 
-/// The store's table storage: privately owned, or a read-only view into
-/// a fully-built table pair shared with sibling systems (a frozen
-/// [`ProgramImage`](crate::ProgramImage)). Same CoW discipline as the
-/// [`Bram`] word storage: reads branch once, the first mutation — a
-/// post-patch invalidation or a lazy build of an unvisited entry —
-/// detaches a private copy.
-#[derive(Clone, Debug)]
-enum Store {
-    Owned(Tables),
-    Shared(Arc<Tables>),
-}
-
-impl Store {
-    #[inline]
-    fn tables(&self) -> &Tables {
-        match self {
-            Store::Owned(t) => t,
-            Store::Shared(a) => a,
-        }
-    }
-
-    #[inline]
-    fn make_owned(&mut self) -> &mut Tables {
-        if let Store::Shared(a) = self {
-            *self = Store::Owned(a.as_ref().clone());
-        }
-        match self {
-            Store::Owned(t) => t,
-            Store::Shared(_) => unreachable!("just detached"),
-        }
-    }
-}
-
 /// Lazily-built block table for one instruction BRAM, keyed by entry PC.
 #[derive(Debug)]
 pub(crate) struct BlockStore {
     /// The per-word block and OPB tables (possibly a shared image view).
-    store: Store,
+    store: Shareable<Tables>,
     /// The [`Bram::generation`] the table was built against.
     generation: u64,
     /// Whether the builder chains backward branches into loop-trace
@@ -266,7 +234,12 @@ impl BlockStore {
     /// Creates an empty store that syncs to the BRAM on first use.
     /// `chain` enables guard chaining across backward branches.
     pub fn new(chain: bool) -> Self {
-        BlockStore { store: Store::Owned(Tables::default()), generation: u64::MAX, chain, built: 0 }
+        BlockStore {
+            store: Shareable::Owned(Tables::default()),
+            generation: u64::MAX,
+            chain,
+            built: 0,
+        }
     }
 
     /// Brings the tables fully in sync with `imem` (normally lazy on the
@@ -280,20 +253,14 @@ impl BlockStore {
     /// Freezes the built tables into a shareable read-only pair and
     /// switches this store to the shared view (see [`Bram::freeze`]).
     pub fn freeze(&mut self) -> Arc<Tables> {
-        if let Store::Owned(t) = &mut self.store {
-            self.store = Store::Shared(Arc::new(std::mem::take(t)));
-        }
-        match &self.store {
-            Store::Shared(a) => Arc::clone(a),
-            Store::Owned(_) => unreachable!("just frozen"),
-        }
+        self.store.freeze()
     }
 
     /// Replaces the tables with a shared fully-built pair captured at
     /// `generation` (against the same program words this store's BRAM
     /// now holds). The next mutation detaches a private copy.
     pub fn attach_shared(&mut self, tables: Arc<Tables>, generation: u64) {
-        self.store = Store::Shared(tables);
+        self.store = Shareable::Shared(tables);
         self.generation = generation;
     }
 
@@ -313,7 +280,7 @@ impl BlockStore {
             self.resync(imem);
         }
         let w = (pc >> 2) as usize;
-        match self.store.tables().blocks.get(w)? {
+        match self.store.get().blocks.get(w)? {
             Some(b) => {
                 // A block with no ops and no guard retires nothing:
                 // cached as "unbuildable" so dispatch falls to `step`.
@@ -344,7 +311,7 @@ impl BlockStore {
     /// table on every peripheral access of every session.
     pub fn learn_opb(&mut self, pc: u32) {
         let w = (pc >> 2) as usize;
-        let t = self.store.tables();
+        let t = self.store.get();
         if w < t.opb.len() && !t.opb[w] {
             self.invalidate_words(w as u32, w as u32);
             self.store.make_owned().opb[w] = true;
@@ -357,7 +324,7 @@ impl BlockStore {
     /// copy-on-patch path, not steady state.
     fn resync(&mut self, imem: &Bram) {
         let words = imem.words().len();
-        let dirty = if self.store.tables().blocks.len() == words {
+        let dirty = if self.store.get().blocks.len() == words {
             imem.dirty_words_since(self.generation)
         } else {
             None
@@ -382,7 +349,7 @@ impl BlockStore {
     /// and a patch landing on a trace's guard word drops the whole
     /// chained trace, never leaving a stale loop shape behind.
     fn invalidate_words(&mut self, lo: u32, hi: u32) {
-        if self.store.tables().blocks.is_empty() {
+        if self.store.get().blocks.is_empty() {
             return;
         }
         let t = self.store.make_owned();
@@ -411,7 +378,7 @@ impl BlockStore {
         features: &MbFeatures,
         head: u32,
     ) -> Block {
-        let t = self.store.tables();
+        let t = self.store.get();
         let mut raw: Vec<Predecoded> = Vec::new();
         let mut pc = head;
         while raw.len() < MAX_BLOCK_OPS {
@@ -900,12 +867,12 @@ mod tests {
         // Re-learning an already-learned OPB word — every session's exit
         // store does this — must not detach the shared tables.
         fresh.learn_opb(4);
-        assert!(matches!(fresh.store, Store::Shared(_)), "re-learning must stay shared");
+        assert!(fresh.store.is_shared(), "re-learning must stay shared");
 
         // Learning a genuinely new word detaches a private copy and
         // leaves the image (and the sibling still attached) intact.
         fresh.learn_opb(8);
-        assert!(matches!(fresh.store, Store::Owned(_)));
+        assert!(!fresh.store.is_shared());
         assert!(fresh.block_at(&mut decode, &imem, &features(), 8).is_none());
         let sibling = store.block_at(&mut decode, &imem, &features(), 8).unwrap();
         assert_eq!(sibling.ops.len(), 1, "the frozen image must never change");

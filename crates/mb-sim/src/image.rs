@@ -29,11 +29,11 @@ use crate::predecode::Predecoded;
 ///
 /// Capture with [`System::capture_image`] from a system that has been
 /// prewarmed and run to completion (so the block tables hold the
-/// *learned* shapes — OPB splits included); attach to fresh or recycled
-/// systems with [`System::attach_image`]. The image must only be
-/// attached to systems with the same configuration it was captured
-/// under — the slot latencies and block shapes bake in the feature set
-/// and trace-chaining flag.
+/// *learned* shapes — OPB splits included); attach to fresh systems,
+/// or to one rerunning in place, with [`System::attach_image`]. The
+/// image must only be attached to systems with the same configuration
+/// it was captured under — the slot latencies and block shapes bake in
+/// the feature set and trace-chaining flag.
 ///
 /// Cloning is cheap (three `Arc`s), and the image is `Send + Sync`: a
 /// fleet-wide image store hands the same image to every worker.
@@ -61,6 +61,64 @@ impl ProgramImage {
     #[must_use]
     pub fn words(&self) -> &[u32] {
         &self.words
+    }
+}
+
+/// One of a system's image-backed stores (instruction words, decode
+/// slots, block tables): privately owned, or a read-only view shared
+/// with a [`ProgramImage`] and its sibling systems. Reads branch once on
+/// the variant — deliberately *not* `Arc::make_mut` per write, which
+/// would put an atomic refcount probe on the simulated store path of
+/// every owned data BRAM. The first mutation of a shared view detaches
+/// a private copy (copy-on-patch).
+#[derive(Clone, Debug)]
+pub(crate) enum Shareable<T> {
+    /// Private storage; mutations write in place.
+    Owned(T),
+    /// Shared read-only storage.
+    Shared(Arc<T>),
+}
+
+impl<T: Clone + Default> Shareable<T> {
+    /// The contents, owned or shared.
+    #[inline]
+    pub(crate) fn get(&self) -> &T {
+        match self {
+            Shareable::Owned(t) => t,
+            Shareable::Shared(a) => a,
+        }
+    }
+
+    /// The mutable contents, detaching a private copy first when the
+    /// storage is shared.
+    #[inline]
+    pub(crate) fn make_owned(&mut self) -> &mut T {
+        if let Shareable::Shared(a) = self {
+            *self = Shareable::Owned(T::clone(a));
+        }
+        match self {
+            Shareable::Owned(t) => t,
+            Shareable::Shared(_) => unreachable!("just detached"),
+        }
+    }
+
+    /// Freezes the contents into a shareable read-only value and
+    /// switches to the shared view. Reads are unchanged; the next
+    /// mutation detaches a private copy. Returns the shared value so
+    /// siblings can attach it without copying.
+    pub(crate) fn freeze(&mut self) -> Arc<T> {
+        if let Shareable::Owned(t) = self {
+            *self = Shareable::Shared(Arc::new(std::mem::take(t)));
+        }
+        match self {
+            Shareable::Shared(a) => Arc::clone(a),
+            Shareable::Owned(_) => unreachable!("just frozen"),
+        }
+    }
+
+    /// Whether the storage is currently a shared read-only view.
+    pub(crate) fn is_shared(&self) -> bool {
+        matches!(self, Shareable::Shared(_))
     }
 }
 

@@ -1502,7 +1502,7 @@ impl System {
     /// so hot-patching works exactly as with owned stores.
     ///
     /// Run state (registers, data memory, caches, stats, peripherals) is
-    /// untouched — pair with [`System::reset_run_state`] when recycling
+    /// untouched — pair with [`System::reset_run_state`] when rerunning
     /// a used system. The image must come from a system with this
     /// system's configuration; debug builds assert the memory geometry
     /// matches.
@@ -1523,10 +1523,11 @@ impl System {
     /// state — without touching instruction memory or the derived
     /// stores, and points the PC at `entry_pc`.
     ///
-    /// This is the pool-recycling primitive: a recycled system reruns
-    /// bit-identically to a freshly built one, but keeps its attached
-    /// [`ProgramImage`] (or its privately warmed stores, standing
-    /// patches included) and performs no allocation.
+    /// This is the in-place rerun primitive (a pooled session's next
+    /// repeat): the system reruns bit-identically to a freshly built
+    /// one, but keeps its attached [`ProgramImage`] (or its privately
+    /// warmed stores, standing patches included) and its mapped
+    /// peripherals, and performs no allocation.
     pub fn reset_run_state(&mut self, entry_pc: u32) {
         self.cpu.reset();
         self.cpu.set_pc(entry_pc);
@@ -1540,14 +1541,6 @@ impl System {
         if let Some(c) = &mut self.dcache {
             c.reset();
         }
-    }
-
-    /// Removes the peripheral mapped at `base`, if any. Recycled
-    /// systems unmap the previous session's devices before mapping
-    /// their own — bus routing returns the first match, so a stale
-    /// mapping would shadow the replacement.
-    pub fn unmap_peripheral(&mut self, base: u32) {
-        self.opb.unmap(base);
     }
 
     /// Runs until the program exits or `max_cycles` elapse, feeding

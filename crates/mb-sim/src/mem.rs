@@ -6,6 +6,8 @@ use std::sync::Arc;
 
 use mb_isa::MemSize;
 
+use crate::image::Shareable;
+
 /// Error for out-of-range or misaligned memory accesses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MemError {
@@ -116,44 +118,6 @@ impl WriteLog {
     }
 }
 
-/// The BRAM's word storage: privately owned, or a read-only view into a
-/// word array shared with sibling BRAMs (a frozen
-/// [`ProgramImage`](crate::ProgramImage)). The variants are checked with
-/// one branch per access — deliberately *not* `Arc::make_mut` per write,
-/// which would put an atomic refcount probe on the simulated store path
-/// of every owned data BRAM.
-#[derive(Clone, Debug)]
-enum Words {
-    /// Private storage; mutations write in place.
-    Owned(Vec<u32>),
-    /// Shared read-only storage; the first mutation detaches a private
-    /// copy (copy-on-patch).
-    Shared(Arc<Vec<u32>>),
-}
-
-impl Words {
-    #[inline]
-    fn as_slice(&self) -> &[u32] {
-        match self {
-            Words::Owned(v) => v,
-            Words::Shared(a) => a,
-        }
-    }
-
-    /// The mutable word array, detaching a private copy first when the
-    /// storage is shared.
-    #[inline]
-    fn make_owned(&mut self) -> &mut Vec<u32> {
-        if let Words::Shared(a) = self {
-            *self = Words::Owned(a.as_ref().clone());
-        }
-        match self {
-            Words::Owned(v) => v,
-            Words::Shared(_) => unreachable!("just detached"),
-        }
-    }
-}
-
 /// A dual-ported block RAM, word-organized with big-endian byte order
 /// (matching the MicroBlaze).
 ///
@@ -172,7 +136,7 @@ impl Words {
 /// overlapping slots instead of flushing wholesale.
 #[derive(Clone, Debug)]
 pub struct Bram {
-    words: Words,
+    words: Shareable<Vec<u32>>,
     generation: u64,
     /// Present only on BRAMs that opted into write tracking (the
     /// instruction BRAM); the data BRAM skips the bookkeeping so
@@ -184,7 +148,7 @@ pub struct Bram {
 /// bookkeeping, so a patched-then-reverted BRAM equals the original.
 impl PartialEq for Bram {
     fn eq(&self, other: &Self) -> bool {
-        self.words.as_slice() == other.words.as_slice()
+        self.words.get() == other.words.get()
     }
 }
 
@@ -195,7 +159,7 @@ impl Bram {
     #[must_use]
     pub fn new(size_bytes: u32) -> Self {
         Bram {
-            words: Words::Owned(vec![0; (size_bytes as usize).div_ceil(4)]),
+            words: Shareable::Owned(vec![0; (size_bytes as usize).div_ceil(4)]),
             generation: 0,
             log: None,
         }
@@ -243,20 +207,20 @@ impl Bram {
     /// Size in bytes.
     #[must_use]
     pub fn size(&self) -> u32 {
-        (self.words.as_slice().len() * 4) as u32
+        (self.words.get().len() * 4) as u32
     }
 
     /// The raw word array.
     #[must_use]
     pub fn words(&self) -> &[u32] {
-        self.words.as_slice()
+        self.words.get()
     }
 
     /// Whether the storage is currently a shared read-only view (the
     /// next mutation will detach a private copy).
     #[must_use]
     pub fn is_shared(&self) -> bool {
-        matches!(self.words, Words::Shared(_))
+        self.words.is_shared()
     }
 
     /// Freezes the current contents into a shareable read-only word
@@ -265,13 +229,7 @@ impl Bram {
     /// shared array so sibling BRAMs can [`attach_shared`](Bram::attach_shared)
     /// it without copying.
     pub fn freeze(&mut self) -> Arc<Vec<u32>> {
-        if let Words::Owned(v) = &mut self.words {
-            self.words = Words::Shared(Arc::new(std::mem::take(v)));
-        }
-        match &self.words {
-            Words::Shared(a) => Arc::clone(a),
-            Words::Owned(_) => unreachable!("just frozen"),
-        }
+        self.words.freeze()
     }
 
     /// Replaces the contents with a shared read-only word array captured
@@ -280,7 +238,7 @@ impl Bram {
     /// the write log restarts at it so consumers synced *before* the
     /// attach are told to resync fully rather than fed stale spans.
     pub fn attach_shared(&mut self, words: Arc<Vec<u32>>, generation: u64) {
-        self.words = Words::Shared(words);
+        self.words = Shareable::Shared(words);
         self.generation = generation;
         if self.log.is_some() {
             self.log = Some(WriteLog { base: generation, spans: Vec::new() });
@@ -293,7 +251,7 @@ impl Bram {
             return Err(MemError::Misaligned { addr, align });
         }
         let idx = (addr / 4) as usize;
-        if idx >= self.words.as_slice().len() {
+        if idx >= self.words.get().len() {
             return Err(MemError::OutOfRange { addr, size: self.size() });
         }
         Ok(idx)
@@ -306,7 +264,7 @@ impl Bram {
     /// Returns [`MemError`] on misalignment or out-of-range access.
     #[inline]
     pub fn read_word(&self, addr: u32) -> Result<u32, MemError> {
-        Ok(self.words.as_slice()[self.word_index(addr, 4)?])
+        Ok(self.words.get()[self.word_index(addr, 4)?])
     }
 
     /// Writes a 32-bit word at a 4-aligned byte address.
@@ -334,13 +292,13 @@ impl Bram {
             MemSize::Word => self.read_word(addr),
             MemSize::Half => {
                 let idx = self.word_index(addr, 2)?;
-                let word = self.words.as_slice()[idx];
+                let word = self.words.get()[idx];
                 let shift = (2 - (addr & 2)) * 8; // big-endian halves
                 Ok((word >> shift) & 0xFFFF)
             }
             MemSize::Byte => {
                 let idx = self.word_index(addr, 1)?;
-                let word = self.words.as_slice()[idx];
+                let word = self.words.get()[idx];
                 let shift = (3 - (addr & 3)) * 8; // big-endian bytes
                 Ok((word >> shift) & 0xFF)
             }
@@ -416,7 +374,7 @@ impl Bram {
         if !addr.is_multiple_of(4) {
             return Err(MemError::Misaligned { addr, align: 4 });
         }
-        let words = self.words.as_slice();
+        let words = self.words.get();
         let start = (addr / 4) as usize;
         let Some(end) = start.checked_add(out.len()).filter(|&e| e <= words.len()) else {
             // Report the first word that falls outside the BRAM.

@@ -56,9 +56,9 @@ pub trait Peripheral: Send {
         None
     }
 
-    /// Restores power-on state, so a pooled [`System`](crate::System)
-    /// can be recycled for a fresh run without remapping its
-    /// peripherals. Stateless peripherals need not implement it.
+    /// Restores power-on state, so a [`System`](crate::System) can
+    /// rerun in place without remapping its peripherals. Stateless
+    /// peripherals need not implement it.
     fn reset(&mut self) {}
 }
 
@@ -132,19 +132,12 @@ impl OpbBus {
         self.mappings.iter().find_map(|m| m.dev.exit_request())
     }
 
-    /// Resets every mapped peripheral to power-on state (pool recycling).
+    /// Resets every mapped peripheral to power-on state (an in-place
+    /// rerun).
     pub fn reset_all(&mut self) {
         for m in &mut self.mappings {
             m.dev.reset();
         }
-    }
-
-    /// Removes the peripheral mapped at `base`, if any. Recycled systems
-    /// unmap the previous session's devices before mapping their own —
-    /// [`find`](OpbBus::find) returns the first match, so a stale
-    /// mapping would shadow the replacement.
-    pub fn unmap(&mut self, base: u32) {
-        self.mappings.retain(|m| m.base != base);
     }
 }
 
@@ -163,7 +156,7 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_the_exit_latch_and_unmap_removes_devices() {
+    fn reset_clears_the_exit_latch() {
         let mut bus = OpbBus::default();
         bus.map(OPB_BASE, 16, Box::new(ExitPort::new()));
         let mut dmem = Bram::new(16);
@@ -171,11 +164,6 @@ mod tests {
         assert_eq!(bus.exit_request(), Some(7));
         bus.reset_all();
         assert_eq!(bus.exit_request(), None, "reset must clear the exit latch");
-
-        bus.map(OPB_BASE + 16, 16, Box::new(ExitPort::new()));
-        bus.unmap(OPB_BASE + 16);
-        assert!(bus.find(OPB_BASE + 16).is_none());
-        assert!(bus.find(OPB_BASE).is_some(), "unmap removes only the named base");
     }
 
     #[test]

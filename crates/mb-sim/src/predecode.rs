@@ -27,6 +27,7 @@ use std::sync::Arc;
 
 use mb_isa::{decode, Insn, MbFeatures, OpClass};
 
+use crate::image::Shareable;
 use crate::machine::RunError;
 use crate::timing::{branch_latency, insn_latency};
 use crate::Bram;
@@ -64,43 +65,12 @@ impl Predecoded {
     }
 }
 
-/// The decode table's slot storage: privately owned, or a read-only
-/// view into a fully-prepared table shared with sibling systems (a
-/// frozen [`ProgramImage`](crate::ProgramImage)). Mirrors the CoW shape
-/// of [`Bram`]'s word storage: one branch on the slow path, detach on
-/// first mutation.
-#[derive(Clone, Debug)]
-enum Slots {
-    Owned(Vec<Option<Predecoded>>),
-    Shared(Arc<Vec<Option<Predecoded>>>),
-}
-
-impl Slots {
-    #[inline]
-    fn as_slice(&self) -> &[Option<Predecoded>] {
-        match self {
-            Slots::Owned(v) => v,
-            Slots::Shared(a) => a,
-        }
-    }
-
-    #[inline]
-    fn make_owned(&mut self) -> &mut Vec<Option<Predecoded>> {
-        if let Slots::Shared(a) = self {
-            *self = Slots::Owned(a.as_ref().clone());
-        }
-        match self {
-            Slots::Owned(v) => v,
-            Slots::Shared(_) => unreachable!("just detached"),
-        }
-    }
-}
-
 /// Lazily-filled decode side table for one instruction BRAM.
 #[derive(Clone, Debug)]
 pub(crate) struct DecodeCache {
-    /// One slot per imem word; `None` = not prepared yet.
-    slots: Slots,
+    /// One slot per imem word; `None` = not prepared yet. Possibly a
+    /// shared image view.
+    slots: Shareable<Vec<Option<Predecoded>>>,
     /// The [`Bram::generation`] the slots were decoded against.
     generation: u64,
     /// Slow-path decodes performed (observability for the incremental
@@ -114,7 +84,7 @@ impl DecodeCache {
     pub fn new() -> Self {
         // u64::MAX can never equal a real generation (they start at 0 and
         // increment), so the first fetch always syncs.
-        DecodeCache { slots: Slots::Owned(Vec::new()), generation: u64::MAX, prepared: 0 }
+        DecodeCache { slots: Shareable::Owned(Vec::new()), generation: u64::MAX, prepared: 0 }
     }
 
     /// Brings the table fully in sync with `imem` (normally lazy on the
@@ -128,13 +98,7 @@ impl DecodeCache {
     /// Freezes the prepared slots into a shareable read-only table and
     /// switches this cache to the shared view (see [`Bram::freeze`]).
     pub fn freeze(&mut self) -> Arc<Vec<Option<Predecoded>>> {
-        if let Slots::Owned(v) = &mut self.slots {
-            self.slots = Slots::Shared(Arc::new(std::mem::take(v)));
-        }
-        match &self.slots {
-            Slots::Shared(a) => Arc::clone(a),
-            Slots::Owned(_) => unreachable!("just frozen"),
-        }
+        self.slots.freeze()
     }
 
     /// Replaces the table with a shared fully-prepared one captured at
@@ -142,7 +106,7 @@ impl DecodeCache {
     /// now holds). The next mutation — a resync after a patch, or a
     /// slow-path decode of an unprepared word — detaches a private copy.
     pub fn attach_shared(&mut self, slots: Arc<Vec<Option<Predecoded>>>, generation: u64) {
-        self.slots = Slots::Shared(slots);
+        self.slots = Shareable::Shared(slots);
         self.generation = generation;
     }
 
@@ -156,7 +120,7 @@ impl DecodeCache {
         pc: u32,
     ) -> Result<Predecoded, RunError> {
         if self.generation == imem.generation() && pc & 3 == 0 {
-            if let Some(Some(d)) = self.slots.as_slice().get((pc >> 2) as usize) {
+            if let Some(Some(d)) = self.slots.get().get((pc >> 2) as usize) {
                 return Ok(*d);
             }
         }
@@ -169,7 +133,7 @@ impl DecodeCache {
     /// BRAM was written, i.e. this system diverged from the image.
     fn resync(&mut self, imem: &Bram) {
         let words = imem.words().len();
-        let dirty = if self.slots.as_slice().len() == words {
+        let dirty = if self.slots.get().len() == words {
             imem.dirty_words_since(self.generation)
         } else {
             None // first sync or a resized BRAM: nothing reusable

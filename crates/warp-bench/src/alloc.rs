@@ -1,8 +1,8 @@
 //! Debug-only heap-allocation counter behind the process allocator.
 //!
 //! The serving hot path claims to be allocation-free in steady state
-//! (shared program images, recycled `System` carcasses, preallocated
-//! profiler scratch). Claims like that rot silently, so this module
+//! (shared program images, systems rearmed in place across repeats,
+//! preallocated profiler scratch). Claims like that rot silently, so this module
 //! puts a counting shim in front of the system allocator: in **debug**
 //! builds every `alloc`/`realloc`/`alloc_zeroed` bumps a process-wide
 //! counter; in **release** builds the counting is compiled out entirely

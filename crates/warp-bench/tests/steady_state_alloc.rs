@@ -1,13 +1,12 @@
 //! The serving hot path's allocation-free claim, asserted.
 //!
 //! A pooled [`OnlineSession`] that has attached its shared program
-//! image and recycled a `System` carcass must advance slices without
-//! touching the heap: the fetch stores are frozen, the profiler
-//! ranking rebuilds into preallocated scratch, and the slice loop
-//! carries no per-slice state. This test pins that with the
-//! [`warp_bench::alloc`] counter — it is meaningful only in debug
-//! builds (the counter is compiled out in release, and the `#[cfg]`
-//! compiles the test out with it), which is why CI runs
+//! image must advance slices without touching the heap: the fetch
+//! stores are frozen, the profiler ranking rebuilds into preallocated
+//! scratch, and the slice loop carries no per-slice state. This test
+//! pins that with the [`warp_bench::alloc`] counter — it is meaningful
+//! only in debug builds (the counter is compiled out in release, and
+//! the `#[cfg]` compiles the test out with it), which is why CI runs
 //! `cargo test -p warp-bench` without `--release`.
 
 #![cfg(debug_assertions)]
@@ -25,24 +24,21 @@ fn pooled_steady_state_slices_allocate_nothing() {
     let config = OnlineConfig { slice_cycles: 2_000, ..OnlineConfig::default() };
     let pool = Arc::new(SessionPool::new());
 
-    // First session end-to-end: builds the shared image, parks the
-    // warm-run carcass, exercises every cold path once.
+    // First session end-to-end: builds the shared image, exercises
+    // every cold path once.
     OnlineSession::new(Arc::clone(&built), config.clone())
         .with_policy(NeverPolicy)
         .with_pool(Arc::clone(&pool))
         .run()
         .expect("warmup verified");
 
-    // Second session recycles the carcass. The first slice re-attaches
-    // the image and reloads data (setup, not steady state); everything
-    // after it is the serving hot path.
+    // Second session attaches the image. The first slice builds its
+    // system and loads data (setup, not steady state); everything after
+    // it is the serving hot path.
     let mut session = OnlineSession::new(Arc::clone(&built), config)
         .with_policy(NeverPolicy)
         .with_pool(Arc::clone(&pool));
     assert_eq!(session.advance(3), SessionStatus::Runnable, "run must outlast the warm slices");
-    // Two recycles: the warmup session itself ran on the image
-    // capture's carcass, and this session runs on the warmup's.
-    assert_eq!(pool.stats().recycled, 2, "the session must be running on a recycled carcass");
 
     let (status, delta) = alloc::delta_during(|| session.advance(8));
     assert_eq!(status, SessionStatus::Runnable, "measured slices must be steady-state ones");

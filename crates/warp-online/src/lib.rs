@@ -70,6 +70,6 @@ mod slot;
 
 pub use error::OnlineError;
 pub use policy::{NeverPolicy, PolicyCtx, ThresholdPolicy, TopKPolicy, WarpPolicy};
-pub use pool::{ImageStore, PoolStats, SessionPool};
+pub use pool::{PoolStats, SessionPool};
 pub use report::{OnlineReport, WarpEvent};
 pub use session::{OnlineConfig, OnlineSession, SessionStatus};

@@ -205,10 +205,8 @@ pub struct OnlineSession {
     /// The modeled CAD tiers: the circuit cache's, or private ones
     /// built at the first compile.
     cad_caches: Option<Arc<CadCaches>>,
-    /// Shared-image + recycled-`System` store (see [`SessionPool`]).
+    /// Shared program images (see [`SessionPool`]).
     pool: Option<Arc<SessionPool>>,
-    /// This session's workload fingerprint, computed once on first use.
-    fingerprint: Option<u64>,
     /// The attached shared image (pooled sessions only).
     image: Option<Arc<ProgramImage>>,
 
@@ -249,7 +247,6 @@ impl OnlineSession {
             service: None,
             cad_caches: None,
             pool: None,
-            fingerprint: None,
             image: None,
             profiler,
             slot: SharedSlot::new(),
@@ -303,12 +300,11 @@ impl OnlineSession {
     }
 
     /// Shares a [`SessionPool`]: this session attaches the pooled
-    /// frozen program image (building it on first use) instead of
-    /// rebuilding decode/block stores privately, recycles an idle
-    /// `System` carcass instead of allocating one, rearms repeats in
-    /// place, and parks its `System` back in the pool when it
-    /// finishes. Execution is bit-identical to an unpooled session —
-    /// the pool only changes where the buffers come from.
+    /// frozen program image (building it on first use) to a fresh
+    /// `System` instead of rebuilding decode/block stores privately,
+    /// and rearms that system in place for each repeat. Execution is
+    /// bit-identical to an unpooled session — the pool only changes
+    /// where the program's tables come from.
     #[must_use]
     pub fn with_pool(mut self, pool: Arc<SessionPool>) -> Self {
         self.pool = Some(pool);
@@ -316,11 +312,11 @@ impl OnlineSession {
     }
 
     /// Attaches `pool` only if the session has none yet — the hook a
-    /// serving worker uses to give every session it schedules its own
-    /// per-worker pool without overriding an explicit
+    /// server uses to give every session it schedules the server's
+    /// pool without overriding an explicit
     /// [`with_pool`](OnlineSession::with_pool) choice. Safe at any
-    /// point: a session that migrates workers keeps its cached image
-    /// and simply parks its carcass in the last worker's pool.
+    /// point: a session whose system is already live keeps it, and
+    /// attaches the image from its next repeat's system on.
     pub fn adopt_pool(&mut self, pool: &Arc<SessionPool>) {
         if self.pool.is_none() {
             self.pool = Some(Arc::clone(pool));
@@ -418,31 +414,15 @@ impl OnlineSession {
     /// load program + data, map the fabric slot, re-apply the standing
     /// patch (a re-entered application starts already warped).
     ///
-    /// With a [`SessionPool`], "instantiate" means: attach the shared
-    /// program image (building it on this workload's first use) to a
-    /// recycled carcass — or to a fresh `System` when the pool has
-    /// none — then load this session's data on top.
+    /// With a [`SessionPool`], "load program" means attaching the
+    /// shared program image (building it on this workload's first use)
+    /// to the fresh `System`.
     fn ensure_system(&mut self) -> Result<(), OnlineError> {
         if self.sys.is_some() {
             return Ok(());
         }
-        let mut sys = if let Some(pool) = self.pool.clone() {
-            let image = self.image_for(&pool);
-            let mut sys = match pool.acquire(self.fingerprint.expect("image_for set the key")) {
-                Some(mut sys) => {
-                    sys.reset_run_state(image.entry_pc());
-                    sys
-                }
-                None => System::new(self.config.mb.clone().with_features(self.built.features)),
-            };
-            sys.attach_image(&image);
-            for (addr, words) in &self.built.data {
-                sys.load_data(*addr, words).map_err(OnlineError::Run)?;
-            }
-            sys
-        } else {
-            self.built.instantiate(&self.config.mb)
-        };
+        let image = self.image()?;
+        let mut sys = instantiate(&self.built, &self.config.mb, image.as_deref())?;
         sys.map_peripheral(WCLA_BASE, WCLA_WINDOW, Box::new(self.slot.port()));
         if let Some(a) = &self.active {
             apply_patch(sys.imem_mut(), &a.plan).map_err(OnlineError::Patch)?;
@@ -451,30 +431,17 @@ impl OnlineSession {
         Ok(())
     }
 
-    /// The shared image for this workload, from the session's cached
-    /// handle, the pool, or (first use fleet-wide) a warm capture run.
-    fn image_for(&mut self, pool: &SessionPool) -> Arc<ProgramImage> {
-        if let Some(image) = &self.image {
-            return Arc::clone(image);
+    /// The shared image for this workload — the session's cached
+    /// handle, or the pool's (a warm capture run on its first use
+    /// pool-wide) — or `None` for an unpooled session.
+    fn image(&mut self) -> Result<Option<Arc<ProgramImage>>, OnlineError> {
+        if let (None, Some(pool)) = (&self.image, &self.pool) {
+            let key = self.built.fingerprint(&self.config.mb);
+            let image =
+                pool.image_or_build(key, || capture_warm_image(&self.built, &self.config))?;
+            self.image = Some(image);
         }
-        let key = match self.fingerprint {
-            Some(k) => k,
-            None => {
-                let k = self.built.fingerprint(&self.config.mb);
-                self.fingerprint = Some(k);
-                k
-            }
-        };
-        let built = &self.built;
-        let config = &self.config;
-        let image = pool.image_or_build(key, || {
-            let (image, warm) = capture_warm_image(built, config);
-            // The capture run's system becomes the first carcass.
-            pool.release(key, warm);
-            image
-        });
-        self.image = Some(Arc::clone(&image));
-        image
+        Ok(self.image.clone())
     }
 
     /// Rolls the live system into the next repeat **in place**: reset
@@ -493,40 +460,26 @@ impl OnlineSession {
         let sys = self.sys.as_mut().expect("exited repeat had a live system");
         sys.reset_run_state(image.entry_pc());
         sys.attach_image(&image);
-        for (addr, words) in &self.built.data {
-            sys.load_data(*addr, words).map_err(OnlineError::Run)?;
-        }
+        load_data(sys, &self.built)?;
         if let Some(a) = &self.active {
             apply_patch(sys.imem_mut(), &a.plan).map_err(OnlineError::Patch)?;
         }
         Ok(())
     }
 
-    /// Parks the finished session's `System` in the pool (or drops it).
+    /// Drops the finished session's `System`. A background compile the
+    /// timeline never consumed (the program exited before the join
+    /// boundary) still produced a host-side artifact: publish it to the
+    /// shared cache so sibling sessions of the same binary never re-pay
+    /// the CAD chain.
     fn retire_system(&mut self) {
-        // A background compile the timeline never consumed (the program
-        // exited before the join boundary) still produced a host-side
-        // artifact: publish it to the shared cache so sibling sessions
-        // of the same binary never re-pay the CAD chain.
+        self.sys = None;
         if let Some(cache) = &self.cache {
             if let CadState::InFlight(f) = std::mem::replace(&mut self.cad, CadState::Idle) {
                 if let Ok(compiled) = f.handle.wait() {
                     cache.insert_compiled(&Arc::new(compiled));
                 }
             }
-        }
-        let Some(mut sys) = self.sys.take() else {
-            return;
-        };
-        if let (Some(pool), Some(key), Some(image)) = (&self.pool, self.fingerprint, &self.image) {
-            // The fabric slot port is session-private: unmap it so it
-            // cannot shadow the next session's mapping.
-            sys.unmap_peripheral(WCLA_BASE);
-            // A standing patch detached private copies of the image;
-            // re-attaching now frees them while the carcass is parked
-            // (the next acquire re-attaches anyway).
-            sys.attach_image(image);
-            pool.release(key, sys);
         }
     }
 
@@ -759,20 +712,46 @@ impl OnlineSession {
     }
 }
 
+/// `built` on a fresh system under `mb`: its program loaded, or `image`
+/// attached in its place, then its data. This is
+/// [`BuiltWorkload::instantiate`] with a program or data that does not
+/// fit the memories failing the session instead of panicking.
+fn instantiate(
+    built: &BuiltWorkload,
+    mb: &MbConfig,
+    image: Option<&ProgramImage>,
+) -> Result<System, OnlineError> {
+    let mut sys = System::new(mb.clone().with_features(built.features));
+    match image {
+        Some(image) => sys.attach_image(image),
+        None => sys.load_program(&built.program).map_err(OnlineError::Run)?,
+    }
+    load_data(&mut sys, built)?;
+    Ok(sys)
+}
+
+fn load_data(sys: &mut System, built: &BuiltWorkload) -> Result<(), OnlineError> {
+    for (addr, words) in &built.data {
+        sys.load_data(*addr, words).map_err(OnlineError::Run)?;
+    }
+    Ok(())
+}
+
 /// Builds a workload's shared image the way the pool expects: load,
 /// prewarm, run one full warm pass (the block store learns the OPB
 /// split at the exit store), prewarm again (that learn invalidated the
-/// exit-sequence block), capture. The warm run's `System` is returned
-/// too — it makes a perfectly good first carcass.
-fn capture_warm_image(built: &BuiltWorkload, config: &OnlineConfig) -> (ProgramImage, System) {
-    let mut warm = built.instantiate(&config.mb);
+/// exit-sequence block), capture.
+fn capture_warm_image(
+    built: &BuiltWorkload,
+    config: &OnlineConfig,
+) -> Result<ProgramImage, OnlineError> {
+    let mut warm = instantiate(built, &config.mb, None)?;
     warm.prewarm();
     // A budget overrun or run error just means a partially warmed
     // image: siblings lazily build (privately) whatever is missing.
     let _ = warm.run(config.max_cycles);
     warm.prewarm();
-    let image = warm.capture_image(built.program.base);
-    (image, warm)
+    Ok(warm.capture_image(built.program.base))
 }
 
 /// Whether the PC is outside the stub words an eviction would rewrite.

@@ -1,10 +1,9 @@
-//! Session-pool equivalence: shared images and recycled `System`s are
-//! pure plumbing.
+//! Session-pool equivalence: shared program images are pure plumbing.
 //!
-//! 1. **Recycling determinism** — for every registry workload, a pooled
-//!    session (attaching the shared frozen image, recycling a carcass,
-//!    rearming repeats in place) reports bit-identically to an unpooled
-//!    session that rebuilds everything from scratch.
+//! 1. **Pooling determinism** — for every registry workload, a pooled
+//!    session (attaching the shared frozen image, rearming repeats in
+//!    place) reports bit-identically to an unpooled session that
+//!    rebuilds everything from scratch.
 //! 2. **Copy-on-patch isolation** — two sessions share one program
 //!    image; hot-patching one mid-trace changes *its* outcome and only
 //!    its outcome: the sibling stays byte-identical to an unshared run.
@@ -12,9 +11,6 @@
 //!    from a bounded cache's modeled residency comes back from its host
 //!    memo as a hit, charged what a resident hit is, whether or not the
 //!    session is pooled.
-//! 4. **Parked carcasses hold no private copies** — a session that
-//!    finishes with a standing patch parks its `System` back on the
-//!    shared image.
 
 use std::sync::Arc;
 
@@ -54,19 +50,13 @@ fn pooled_sessions_match_unpooled_on_every_workload() {
         let stats = pool.stats();
         assert_eq!(stats.images, 1, "{}: one image per fingerprint", workload.name);
         assert_eq!(stats.image_builds, 1, "{}: the image is built once", workload.name);
-        assert!(
-            stats.recycled >= 2,
-            "{}: both sessions must recycle a carcass (got {})",
-            workload.name,
-            stats.recycled
-        );
     }
 }
 
 #[test]
 fn seeded_siblings_share_one_image() {
     // Different seeds vary only the data, so they share a fingerprint —
-    // and therefore one image and one carcass store.
+    // and therefore one image.
     let workload = workloads::by_name("crc32").unwrap();
     let config = OnlineConfig::default();
     let pool = Arc::new(SessionPool::new());
@@ -83,22 +73,6 @@ fn seeded_siblings_share_one_image() {
     let stats = pool.stats();
     assert_eq!(stats.images, 1, "seeds must share one image");
     assert_eq!(stats.image_builds, 1);
-    assert_eq!(stats.carcasses, 1, "seeds must share one recycled system");
-}
-
-#[test]
-fn parked_carcass_returns_to_the_shared_image() {
-    let built = Arc::new(workloads::by_name("brev").unwrap().build(MbFeatures::paper_default()));
-    let config = OnlineConfig::default();
-    let pool = Arc::new(SessionPool::new());
-    let report = OnlineSession::new(Arc::clone(&built), config.clone())
-        .with_policy(policy())
-        .with_pool(Arc::clone(&pool))
-        .run()
-        .unwrap();
-    assert!(!report.events.is_empty(), "the warp must land, leaving a standing patch");
-    let carcass = pool.acquire(built.fingerprint(&config.mb)).expect("the session parked");
-    assert!(carcass.imem().is_shared(), "the patched private copy must not be parked");
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! **warp-serve**: a sharded, multi-session warp-simulation server.
+//! **warp-serve**: a multi-session warp-simulation server.
 //!
 //! The online runtime of `warp-online` simulates *one* warping system.
 //! This crate turns it into a service: a long-running [`Server`] hosts

@@ -1,52 +1,45 @@
-//! The sharded session table and the fair-share scheduler.
+//! The session table and the fair-share scheduler.
 //!
 //! A [`Server`] hosts many [`OnlineSession`]s — each a full online-warp
 //! runtime (simulated MicroBlaze + profiler + OCPM) — and time-slices
-//! the runnable ones across a fixed pool of worker threads. The design
-//! center is the ISSUE's serving model:
+//! the runnable ones across a fixed pool of worker threads:
 //!
 //! * **Ownership, not locking.** A session in the table is either
 //!   `Parked` (the table owns the boxed state machine), `Running` (a
 //!   worker has taken it out and owns it exclusively for one quantum),
 //!   or `Done` (only the outcome remains). A session can never be
 //!   advanced by two workers at once because only one of them can hold
-//!   it; clients that need the machine itself (patch, step) wait on a
+//!   it; clients that need the machine itself (patch, wait) wait on a
 //!   condvar until it is parked again.
-//! * **One shard per worker.** The session table and ready queue are
-//!   split into per-worker shards (a session's home shard is
-//!   `id % workers`), so the grant path and the park path touch only
-//!   one short shard mutex instead of a fleet-global table lock. A
-//!   worker drains its own shard first and steals round-robin from the
-//!   others when idle, so load still balances; a fleet-wide `pending`
-//!   counter plus a tiny notify-only lock wakes sleeping workers
-//!   without ever serializing the slot bookkeeping.
-//! * **Ready queues, not polling.** Runnable session ids sit in
-//!   per-shard `VecDeque`s; workers block on a condvar when `pending`
-//!   is zero. A parked session with no granted slices costs nothing —
+//! * **One table, one ready queue.** The session slots and a FIFO queue
+//!   of runnable ids sit behind one mutex. Workers pop the queue's
+//!   front, advance the session outside the lock, and park it back;
+//!   while the queue is empty they wait on one condvar that every grant
+//!   signals. A parked session with no granted slices costs nothing —
 //!   no timer, no scan, no wakeup — which is what lets one server hold
 //!   thousands of mostly idle tenants.
 //! * **Fair round-robin.** A worker advances a session by at most
 //!   `quantum_slices` scheduler slices, then pushes it to the *back* of
-//!   its shard's ready queue. Long-running sessions therefore
-//!   interleave at quantum granularity instead of head-of-line blocking
-//!   short ones.
+//!   the ready queue. Long-running sessions therefore interleave at
+//!   quantum granularity instead of head-of-line blocking short ones.
 //! * **Slice grants.** Every session carries a budget of granted
 //!   slices. [`Server::run`] grants unbounded slices (serve to
 //!   completion); [`Server::step`] grants an exact count, which is how
 //!   a wire client single-steps a session it is debugging. The workers
 //!   decrement grants as they advance, so both modes flow through the
 //!   identical scheduling path.
-//! * **Per-worker session pools.** Each worker owns a
-//!   [`SessionPool`](warp_online::SessionPool) and hands it to every
-//!   session it schedules ([`OnlineSession::adopt_pool`]): sessions of
-//!   the same workload share one frozen program image and recycle
-//!   `System` carcasses, so the steady-state serving path allocates
-//!   nothing per session. Pooling is bit-identical plumbing (see
+//! * **One image pool.** The server hands its one
+//!   [`SessionPool`](warp_online::SessionPool) to every session it
+//!   schedules ([`OnlineSession::adopt_pool`]), so sessions of the same
+//!   workload attach one frozen program image instead of each rebuilding
+//!   its decode and block tables. Pooling is bit-identical plumbing (see
 //!   `warp-online/tests/pooling.rs`), so determinism is untouched.
-//! * **A panic costs one session.** A worker catches a panic while it
+//! * **A failure costs one session.** A worker catches a panic while it
 //!   advances a session (from a user policy, say), drops that session,
 //!   and parks [`OnlineError::Panicked`] as its outcome for
-//!   [`Server::wait`]; the worker keeps serving.
+//!   [`Server::wait`]; the worker keeps serving. Nothing that runs under
+//!   the table lock panics on a session's input: a program that does
+//!   not fit its memories fails that session with [`OnlineError::Run`].
 //!
 //! Determinism: a session's timeline depends only on the sequence of
 //! `advance` calls applied to it, never on wall-clock or on which
@@ -63,13 +56,11 @@
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-use warp_online::{
-    ImageStore, OnlineError, OnlineReport, OnlineSession, SessionPool, SessionStatus,
-};
+use warp_online::{OnlineError, OnlineReport, OnlineSession, SessionPool, SessionStatus};
 
 use crate::error::ServeError;
 
@@ -79,8 +70,7 @@ pub type SessionId = u64;
 /// Tuning knobs of the serving scheduler.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Worker threads advancing sessions (clamped to at least 1). The
-    /// session table is sharded one shard per worker.
+    /// Worker threads advancing sessions (clamped to at least 1).
     pub workers: usize,
     /// Scheduler slices one worker runs a session for before requeueing
     /// it (the fairness quantum; clamped to at least 1). With the
@@ -145,20 +135,35 @@ struct Slot {
     queued: bool,
 }
 
+/// Everything the table lock guards.
 #[derive(Default)]
-struct ShardInner {
+struct Table {
     slots: HashMap<SessionId, Slot>,
+    /// Runnable session ids, served front to back.
     ready: VecDeque<SessionId>,
+    /// Set when the server drops; workers exit once the queue is empty.
+    shutdown: bool,
 }
 
-/// One worker's slice of the session table. All slot bookkeeping for a
-/// session happens under its home shard's lock only.
-#[derive(Default)]
-struct Shard {
-    inner: Mutex<ShardInner>,
-    /// Signals clients blocked on this shard (patch, wait): a slot
-    /// parked or finished.
-    park_cv: Condvar,
+impl Table {
+    /// Pops the next runnable session, consuming stale ready entries
+    /// (removed sessions, spent grants) along the way.
+    fn claim(&mut self, quantum_slices: u64) -> Option<(SessionId, Box<OnlineSession>, u64)> {
+        while let Some(id) = self.ready.pop_front() {
+            let Some(slot) = self.slots.get_mut(&id) else { continue };
+            slot.queued = false;
+            if slot.grant == 0 {
+                continue;
+            }
+            let budget = slot.grant.min(quantum_slices);
+            match std::mem::replace(&mut slot.state, SlotState::Running) {
+                SlotState::Parked(session) => return Some((id, session, budget)),
+                // Raced with remove(); put the marker back.
+                other => slot.state = other,
+            }
+        }
+        None
+    }
 }
 
 /// Fleet-wide counters (monotonic; survive session removal).
@@ -199,42 +204,28 @@ pub struct FleetStats {
     pub ttfw_sessions: u64,
 }
 
+#[derive(Default)]
 struct Shared {
-    shards: Vec<Shard>,
-    /// Ready entries fleet-wide. Incremented before any push, decremented
-    /// at every pop; workers sleep only while it reads zero.
-    pending: AtomicU64,
-    /// Notify-only lock pairing with `work_cv`. Its critical section is
-    /// empty — it exists so a "push then notify" cannot slip between a
-    /// worker's `pending == 0` check and its wait (the lost-wakeup
-    /// window), not to protect any data.
-    work_lock: Mutex<()>,
-    /// Signals workers: `pending` became non-zero or shutting down.
+    table: Mutex<Table>,
+    /// Signals workers: a session became ready, or the server is
+    /// shutting down.
     work_cv: Condvar,
-    shutdown: AtomicBool,
+    /// Signals clients blocked on a slot (patch, wait): a session
+    /// parked or finished.
+    park_cv: Condvar,
     fleet: FleetCounters,
-    /// Program images, shared by every worker's [`SessionPool`]: a
-    /// binary is imaged once for the whole fleet, while `System`
-    /// carcasses stay worker-local.
-    images: Arc<ImageStore>,
+    /// The program images every scheduled session attaches.
+    pool: Arc<SessionPool>,
 }
 
 impl Shared {
-    fn shard_of(&self, id: SessionId) -> &Shard {
-        &self.shards[(id % self.shards.len() as u64) as usize]
-    }
-
-    /// Wakes a sleeping worker after `pending` was raised. Must run
-    /// *after* the push and its `pending` increment; the empty lock
-    /// acquisition orders this notify against any worker mid-check.
-    fn signal_work(&self) {
-        drop(self.work_lock.lock().expect("serve work lock"));
-        self.work_cv.notify_one();
+    fn table(&self) -> MutexGuard<'_, Table> {
+        self.table.lock().expect("serve table lock")
     }
 }
 
 /// A multi-session warp-simulation server. Dropping it drains the
-/// ready queues' current quanta and joins the workers.
+/// ready queue and joins the workers.
 pub struct Server {
     shared: Arc<Shared>,
     next_id: AtomicU64,
@@ -243,26 +234,17 @@ pub struct Server {
 }
 
 impl Server {
-    /// Starts the worker pool, one table shard per worker.
+    /// Starts the worker pool.
     #[must_use]
     pub fn start(config: ServeConfig) -> Self {
-        let worker_count = config.workers.max(1);
-        let shared = Arc::new(Shared {
-            shards: (0..worker_count).map(|_| Shard::default()).collect(),
-            pending: AtomicU64::new(0),
-            work_lock: Mutex::new(()),
-            work_cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            fleet: FleetCounters::default(),
-            images: Arc::new(ImageStore::new()),
-        });
+        let shared = Arc::new(Shared::default());
         let quantum = config.quantum_slices.max(1);
-        let workers = (0..worker_count)
+        let workers = (0..config.workers.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("warp-serve-{i}"))
-                    .spawn(move || worker_loop(&shared, i, quantum))
+                    .spawn(move || worker_loop(&shared, quantum))
                     .expect("spawn warp-serve worker")
             })
             .collect();
@@ -276,13 +258,12 @@ impl Server {
     /// [`CadService`](warp_core::CadService) — because those are
     /// builder decisions of [`OnlineSession`], not of the server. The
     /// one builder choice the server makes for it: a session without a
-    /// [`SessionPool`](warp_online::SessionPool) adopts the pool of
-    /// whichever worker schedules it.
+    /// [`SessionPool`] adopts the server's when a worker first
+    /// schedules it.
     pub fn create(&self, session: OnlineSession) -> SessionId {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let snapshot = snapshot_of(&session, false);
-        let shard = self.shared.shard_of(id);
-        shard.inner.lock().expect("serve shard lock").slots.insert(
+        self.shared.table().slots.insert(
             id,
             Slot { state: SlotState::Parked(Box::new(session)), snapshot, grant: 0, queued: false },
         );
@@ -314,22 +295,16 @@ impl Server {
     }
 
     fn grant(&self, id: SessionId, slices: u64) -> Result<(), ServeError> {
-        let shard = self.shared.shard_of(id);
-        let mut inner = shard.inner.lock().expect("serve shard lock");
-        let slot = inner.slots.get_mut(&id).ok_or(ServeError::UnknownSession(id))?;
+        let mut table = self.shared.table();
+        let slot = table.slots.get_mut(&id).ok_or(ServeError::UnknownSession(id))?;
         if matches!(slot.state, SlotState::Done(_)) {
             return Ok(());
         }
         slot.grant = slot.grant.saturating_add(slices);
-        let enqueued = slot.grant > 0 && !slot.queued && matches!(slot.state, SlotState::Parked(_));
-        if enqueued {
+        if slot.grant > 0 && !slot.queued && matches!(slot.state, SlotState::Parked(_)) {
             slot.queued = true;
-            inner.ready.push_back(id);
-            self.shared.pending.fetch_add(1, Ordering::SeqCst);
-        }
-        drop(inner);
-        if enqueued {
-            self.shared.signal_work();
+            table.ready.push_back(id);
+            self.shared.work_cv.notify_one();
         }
         Ok(())
     }
@@ -344,19 +319,18 @@ impl Server {
     /// [`ServeError::UnknownSession`] for a bad id,
     /// [`ServeError::SessionDone`] if it already completed, or
     /// [`ServeError::Session`] if the write lands outside instruction
-    /// memory.
+    /// memory or the session's program cannot be loaded.
     pub fn patch(&self, id: SessionId, addr: u32, words: &[u32]) -> Result<(), ServeError> {
-        let shard = self.shared.shard_of(id);
-        let mut inner = shard.inner.lock().expect("serve shard lock");
+        let mut table = self.shared.table();
         loop {
-            let slot = inner.slots.get_mut(&id).ok_or(ServeError::UnknownSession(id))?;
+            let slot = table.slots.get_mut(&id).ok_or(ServeError::UnknownSession(id))?;
             match &mut slot.state {
                 SlotState::Parked(session) => {
                     return session.patch_imem(addr, words).map_err(ServeError::Session);
                 }
                 SlotState::Done(_) => return Err(ServeError::SessionDone(id)),
                 SlotState::Running => {
-                    inner = shard.park_cv.wait(inner).expect("serve shard lock");
+                    table = self.shared.park_cv.wait(table).expect("serve table lock");
                 }
             }
         }
@@ -368,9 +342,7 @@ impl Server {
     ///
     /// [`ServeError::UnknownSession`] for a bad id.
     pub fn query(&self, id: SessionId) -> Result<SessionSnapshot, ServeError> {
-        let shard = self.shared.shard_of(id);
-        let inner = shard.inner.lock().expect("serve shard lock");
-        inner.slots.get(&id).map(|s| s.snapshot).ok_or(ServeError::UnknownSession(id))
+        self.shared.table().slots.get(&id).map(|s| s.snapshot).ok_or(ServeError::UnknownSession(id))
     }
 
     /// Blocks until the session completes, removes it from the table,
@@ -385,18 +357,17 @@ impl Server {
     /// [`ServeError::Session`] carries the session's own failure.
     pub fn wait(&self, id: SessionId) -> Result<OnlineReport, ServeError> {
         self.run(id)?;
-        let shard = self.shared.shard_of(id);
-        let mut inner = shard.inner.lock().expect("serve shard lock");
+        let mut table = self.shared.table();
         loop {
-            let slot = inner.slots.get_mut(&id).ok_or(ServeError::UnknownSession(id))?;
+            let slot = table.slots.get_mut(&id).ok_or(ServeError::UnknownSession(id))?;
             if let SlotState::Done(outcome) = &mut slot.state {
                 // `None` only for a session being discarded by
                 // `remove` — indistinguishable from already-gone.
                 let outcome = outcome.take().ok_or(ServeError::UnknownSession(id))?;
-                inner.slots.remove(&id);
+                table.slots.remove(&id);
                 return outcome.map_err(ServeError::Session);
             }
-            inner = shard.park_cv.wait(inner).expect("serve shard lock");
+            table = self.shared.park_cv.wait(table).expect("serve table lock");
         }
     }
 
@@ -404,9 +375,8 @@ impl Server {
     /// its current quantum parks it). Unknown ids are a no-op — remove
     /// is how clients say "I no longer care".
     pub fn remove(&self, id: SessionId) {
-        let shard = self.shared.shard_of(id);
-        let mut inner = shard.inner.lock().expect("serve shard lock");
-        if let Some(slot) = inner.slots.get_mut(&id) {
+        let mut table = self.shared.table();
+        if let Some(slot) = table.slots.get_mut(&id) {
             match slot.state {
                 SlotState::Running => {
                     // The worker holds the machine; mark for discard by
@@ -415,7 +385,7 @@ impl Server {
                     slot.state = SlotState::Done(None);
                 }
                 _ => {
-                    inner.slots.remove(&id);
+                    table.slots.remove(&id);
                 }
             }
         }
@@ -424,11 +394,7 @@ impl Server {
     /// Live session count (any state still in the table).
     #[must_use]
     pub fn sessions(&self) -> usize {
-        self.shared
-            .shards
-            .iter()
-            .map(|s| s.inner.lock().expect("serve shard lock").slots.len())
-            .sum()
+        self.shared.table().slots.len()
     }
 
     /// The fairness quantum workers use, in scheduler slices.
@@ -457,8 +423,8 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        drop(self.shared.work_lock.lock().expect("serve work lock"));
+        // Setting the flag is valid whatever a panicking holder left.
+        self.shared.table.lock().unwrap_or_else(PoisonError::into_inner).shutdown = true;
         self.shared.work_cv.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -466,131 +432,94 @@ impl Drop for Server {
     }
 }
 
-/// Pops the next runnable session, scanning the worker's own shard
-/// first and stealing round-robin from the others. Consumes (and
-/// accounts for) stale ready entries along the way.
-fn claim(
-    shared: &Shared,
-    me: usize,
-    quantum_slices: u64,
-) -> Option<(usize, SessionId, Box<OnlineSession>, u64)> {
-    let n = shared.shards.len();
-    for k in 0..n {
-        let si = (me + k) % n;
-        let mut inner = shared.shards[si].inner.lock().expect("serve shard lock");
-        while let Some(id) = inner.ready.pop_front() {
-            shared.pending.fetch_sub(1, Ordering::SeqCst);
-            let Some(slot) = inner.slots.get_mut(&id) else { continue };
-            slot.queued = false;
-            if slot.grant == 0 {
-                continue;
-            }
-            let budget = slot.grant.min(quantum_slices);
-            match std::mem::replace(&mut slot.state, SlotState::Running) {
-                SlotState::Parked(session) => return Some((si, id, session, budget)),
-                // Raced with remove(); put the marker back.
-                other => {
-                    slot.state = other;
-                    continue;
-                }
-            }
-        }
-    }
-    None
-}
-
-fn worker_loop(shared: &Shared, me: usize, quantum_slices: u64) {
-    // One pool per worker, all sharing the server's image store:
-    // recycled `System` carcasses stay core-local (the carcass mutex is
-    // uncontended) while images are fleet-wide.
-    let pool = Arc::new(SessionPool::sharing(&shared.images));
+fn worker_loop(shared: &Shared, quantum_slices: u64) {
     loop {
-        let Some((shard_idx, id, mut session, budget)) = claim(shared, me, quantum_slices) else {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return;
+        let (id, mut session, budget) = {
+            let mut table = shared.table();
+            loop {
+                if let Some(claimed) = table.claim(quantum_slices) {
+                    break claimed;
+                }
+                if table.shutdown {
+                    return;
+                }
+                table = shared.work_cv.wait(table).expect("serve table lock");
             }
-            let guard = shared.work_lock.lock().expect("serve work lock");
-            // Re-check under the notify lock: a push that raised
-            // `pending` before we got here must not be slept through.
-            if shared.pending.load(Ordering::SeqCst) == 0 && !shared.shutdown.load(Ordering::SeqCst)
-            {
-                drop(shared.work_cv.wait(guard).expect("serve work lock"));
-            }
-            continue;
         };
 
-        // Advance outside every lock: this is the expensive part, and
-        // the whole point — many workers simulate many sessions at once.
-        // A panic costs this session, never the worker.
-        session.adopt_pool(&pool);
+        // Advance outside the lock: this is the expensive part, and the
+        // whole point — many workers simulate many sessions at once. A
+        // panic costs this session, never the worker.
+        session.adopt_pool(&shared.pool);
         let advanced = panic::catch_unwind(AssertUnwindSafe(|| session.advance(budget)));
         shared.fleet.quanta.fetch_add(1, Ordering::Relaxed);
 
-        // Park the result back into its home shard.
-        let shard = &shared.shards[shard_idx];
-        let mut inner = shard.inner.lock().expect("serve shard lock");
-        let Some(slot) = inner.slots.get_mut(&id) else {
-            // Removed while running; drop the machine.
-            continue;
-        };
-        if matches!(slot.state, SlotState::Done(_)) {
-            // remove() marked it for discard while we ran.
-            inner.slots.remove(&id);
-            drop(inner);
-            shard.park_cv.notify_all();
-            continue;
-        }
-        slot.grant = slot.grant.saturating_sub(budget);
-        let status = match advanced {
-            Ok(status) => status,
-            Err(payload) => {
-                // Drop the machine, whose state the panic interrupted,
-                // and park its failure for `wait`.
-                shared.fleet.failed.fetch_add(1, Ordering::Relaxed);
-                slot.snapshot.done = true;
-                slot.state = SlotState::Done(Some(Err(OnlineError::Panicked(message(&*payload)))));
-                drop(inner);
-                shard.park_cv.notify_all();
-                continue;
-            }
-        };
-        slot.snapshot = snapshot_of(&session, status != SessionStatus::Runnable);
-        let mut requeued = false;
-        match status {
-            SessionStatus::Runnable => {
-                slot.state = SlotState::Parked(session);
-                if slot.grant > 0 {
-                    // Back of the queue: round-robin fairness.
-                    slot.queued = true;
-                    inner.ready.push_back(id);
-                    shared.pending.fetch_add(1, Ordering::SeqCst);
-                    requeued = true;
-                }
-            }
-            SessionStatus::Finished | SessionStatus::Failed => {
-                let f = &shared.fleet;
-                match status {
-                    SessionStatus::Finished => f.finished.fetch_add(1, Ordering::Relaxed),
-                    _ => f.failed.fetch_add(1, Ordering::Relaxed),
-                };
-                f.cycles.fetch_add(session.cycles(), Ordering::Relaxed);
-                f.instructions.fetch_add(session.instructions(), Ordering::Relaxed);
-                f.warps.fetch_add(session.warp_count() as u64, Ordering::Relaxed);
-                if let Some(ttfw) = session.time_to_first_warp() {
-                    f.ttfw_sum.fetch_add(ttfw, Ordering::Relaxed);
-                    f.ttfw_sessions.fetch_add(1, Ordering::Relaxed);
-                }
-                slot.state =
-                    SlotState::Done(Some(session.into_outcome().expect("session completed")));
-            }
-        }
-        drop(inner);
-        shard.park_cv.notify_all();
-        if requeued {
-            // Other workers may be asleep while this shard has work.
-            shared.signal_work();
-        }
+        // A requeue in `park` needs no wakeup: this worker claims again
+        // before it could sleep, so it never leaves the queue longer
+        // than it found it, and every other entry came from a grant
+        // that signalled.
+        let discarded = park(shared, &mut shared.table(), id, session, budget, advanced);
+        shared.park_cv.notify_all();
+        drop(discarded);
     }
+}
+
+/// Puts a session back into its slot after one quantum: requeued while
+/// it has grant left, or finished with its outcome recorded. Returns a
+/// machine nobody will run again, to be dropped outside the lock.
+fn park(
+    shared: &Shared,
+    table: &mut Table,
+    id: SessionId,
+    session: Box<OnlineSession>,
+    budget: u64,
+    advanced: std::thread::Result<SessionStatus>,
+) -> Option<Box<OnlineSession>> {
+    let Some(slot) = table.slots.get_mut(&id) else {
+        // Removed while running.
+        return Some(session);
+    };
+    if matches!(slot.state, SlotState::Done(_)) {
+        // remove() marked it for discard while we ran.
+        table.slots.remove(&id);
+        return Some(session);
+    }
+    slot.grant = slot.grant.saturating_sub(budget);
+    let status = match advanced {
+        Ok(status) => status,
+        Err(payload) => {
+            // Drop the machine, whose state the panic interrupted, and
+            // park its failure for `wait`.
+            shared.fleet.failed.fetch_add(1, Ordering::Relaxed);
+            slot.snapshot.done = true;
+            slot.state = SlotState::Done(Some(Err(OnlineError::Panicked(message(&*payload)))));
+            return Some(session);
+        }
+    };
+    slot.snapshot = snapshot_of(&session, status != SessionStatus::Runnable);
+    if status == SessionStatus::Runnable {
+        slot.state = SlotState::Parked(session);
+        if slot.grant > 0 {
+            // Back of the queue: round-robin fairness.
+            slot.queued = true;
+            table.ready.push_back(id);
+        }
+        return None;
+    }
+    let f = &shared.fleet;
+    match status {
+        SessionStatus::Finished => f.finished.fetch_add(1, Ordering::Relaxed),
+        _ => f.failed.fetch_add(1, Ordering::Relaxed),
+    };
+    f.cycles.fetch_add(session.cycles(), Ordering::Relaxed);
+    f.instructions.fetch_add(session.instructions(), Ordering::Relaxed);
+    f.warps.fetch_add(session.warp_count() as u64, Ordering::Relaxed);
+    if let Some(ttfw) = session.time_to_first_warp() {
+        f.ttfw_sum.fetch_add(ttfw, Ordering::Relaxed);
+        f.ttfw_sessions.fetch_add(1, Ordering::Relaxed);
+    }
+    slot.state = SlotState::Done(Some(session.into_outcome().expect("session completed")));
+    None
 }
 
 /// The message a panic payload carries, if it is a string.
@@ -703,9 +632,7 @@ mod tests {
     }
 
     #[test]
-    fn sessions_spread_across_shards_and_steal_cleanly() {
-        // 4 shards, ids land round-robin; a single hot shard's work is
-        // stolen by the other workers and everything still completes.
+    fn four_workers_drain_one_queue() {
         let server = Server::start(ServeConfig { workers: 4, quantum_slices: 2 });
         let ids: Vec<_> = (0..8).map(|_| server.create(session("brev"))).collect();
         for &id in &ids {
@@ -716,5 +643,6 @@ mod tests {
             assert_eq!(report.exit_code, 0);
         }
         assert_eq!(server.fleet().finished, 8);
+        assert_eq!(server.sessions(), 0);
     }
 }

@@ -13,7 +13,12 @@
 //! cross-tenant optimization: tenants running the same kernel (same
 //! program image, different seeded data) hit each other's compiled
 //! circuits and pay only reconfiguration cycles.
+//!
+//! Sessions belong to the connection that created them: when it ends
+//! (the client hangs up, or the socket fails), every session it created
+//! and has not yet reported or removed is removed from the server.
 
+use std::collections::HashSet;
 use std::io::BufWriter;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
@@ -24,7 +29,7 @@ use warp_core::{CadService, CircuitCache};
 use warp_online::{OnlineConfig, OnlineSession, ThresholdPolicy, TopKPolicy};
 
 use crate::proto::{read_frame, write_frame, Request, Response};
-use crate::server::{ServeConfig, Server};
+use crate::server::{ServeConfig, Server, SessionId};
 use crate::ServeError;
 
 /// A TCP-fronted warp-simulation server.
@@ -103,17 +108,45 @@ impl WireServer {
     }
 }
 
+/// Serves one connection until EOF or a socket failure, then removes
+/// the sessions it left open.
 fn serve_connection(
     core: &Server,
     cache: &Arc<CircuitCache>,
     cad: &Arc<CadService>,
     stream: TcpStream,
 ) -> std::io::Result<()> {
+    let mut open = HashSet::new();
+    let served = serve_frames(core, cache, cad, stream, &mut open);
+    for id in open {
+        core.remove(id);
+    }
+    served
+}
+
+/// The request loop of [`serve_connection`]. `open` tracks the sessions
+/// this connection created and has not yet reported or removed.
+fn serve_frames(
+    core: &Server,
+    cache: &Arc<CircuitCache>,
+    cad: &Arc<CadService>,
+    stream: TcpStream,
+    open: &mut HashSet<SessionId>,
+) -> std::io::Result<()> {
     let mut reader = stream.try_clone()?;
     let mut writer = BufWriter::new(stream);
     while let Some(payload) = read_frame(&mut reader)? {
         let response = match Request::decode(&payload) {
-            Ok(req) => dispatch(core, cache, cad, req),
+            Ok(req) => {
+                if let Request::Report(id) | Request::Remove(id) = req {
+                    open.remove(&id);
+                }
+                let response = dispatch(core, cache, cad, req);
+                if let Response::Created(id) = response {
+                    open.insert(id);
+                }
+                response
+            }
             Err(e) => Response::Error(e.to_string()),
         };
         write_frame(&mut writer, &response.encode())?;

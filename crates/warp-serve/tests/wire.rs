@@ -2,15 +2,18 @@
 //! determinism pin extended *through the wire* — a report decoded off
 //! the socket equals a standalone `OnlineSession::run` bit-for-bit.
 
+use std::net::SocketAddr;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use mb_isa::MbFeatures;
 use warp_core::CircuitCache;
 use warp_online::{OnlineConfig, OnlineSession, TopKPolicy};
 use warp_serve::tcp::{Client, WireServer};
-use warp_serve::{ServeConfig, ServeError};
+use warp_serve::{ServeConfig, ServeError, Server};
 
-fn start_server() -> std::net::SocketAddr {
+/// Starts a wire server; returns its address and its in-process core.
+fn start_server() -> (SocketAddr, Arc<Server>) {
     let server = WireServer::bind(
         "127.0.0.1:0",
         ServeConfig { workers: 4, quantum_slices: 16 },
@@ -18,13 +21,14 @@ fn start_server() -> std::net::SocketAddr {
     )
     .unwrap();
     let addr = server.local_addr().unwrap();
+    let core = Arc::clone(server.core());
     let _accept = server.spawn();
-    addr
+    (addr, core)
 }
 
 #[test]
 fn served_report_over_tcp_matches_standalone_run() {
-    let addr = start_server();
+    let (addr, _) = start_server();
     let mut client = Client::connect(addr).unwrap();
 
     let seed = 7;
@@ -43,7 +47,7 @@ fn served_report_over_tcp_matches_standalone_run() {
 
 #[test]
 fn step_query_and_fleet_over_tcp() {
-    let addr = start_server();
+    let (addr, _) = start_server();
     let mut client = Client::connect(addr).unwrap();
 
     let id = client.create("crc32", 1, 1, 256, 0, 1, false).unwrap();
@@ -72,7 +76,7 @@ fn step_query_and_fleet_over_tcp() {
 
 #[test]
 fn wire_errors_are_structured() {
-    let addr = start_server();
+    let (addr, _) = start_server();
     let mut client = Client::connect(addr).unwrap();
 
     // Unknown workload name.
@@ -91,7 +95,7 @@ fn wire_errors_are_structured() {
 
 #[test]
 fn shared_cache_tenants_over_tcp_report_hits() {
-    let addr = start_server();
+    let (addr, _) = start_server();
     let mut client = Client::connect(addr).unwrap();
 
     let ids: Vec<_> = (0..6)
@@ -110,4 +114,24 @@ fn shared_cache_tenants_over_tcp_report_hits() {
         }
     }
     assert!(hits >= 1, "same-kernel tenants over TCP must warm-start from each other");
+}
+
+#[test]
+fn a_vanished_client_leaves_no_sessions_behind() {
+    let (addr, core) = start_server();
+    let mut client = Client::connect(addr).unwrap();
+    let ran = client.create("brev", 1, 1, 256, 0, 1, false).unwrap();
+    let stepped = client.create("crc32", 1, 1, 256, 0, 1, false).unwrap();
+    client.run(ran).unwrap();
+    client.step(stepped, 2).unwrap();
+    assert_eq!(core.sessions(), 2);
+
+    // Disconnect without a report: one session was run, the other
+    // only stepped.
+    drop(client);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while core.sessions() > 0 {
+        assert!(Instant::now() < deadline, "{} sessions outlived their client", core.sessions());
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }

@@ -179,8 +179,7 @@ impl BuiltWorkload {
 
     /// A stable identity for "this binary under this machine
     /// configuration" — the key a serving-fleet session pool uses to
-    /// share one frozen program image (and recycle `System` carcasses)
-    /// across sessions.
+    /// share one frozen program image across sessions.
     ///
     /// Hashes (FNV-1a) the program base and words plus the *effective*
     /// configuration the workload instantiates with (`config` with this
