@@ -555,187 +555,6 @@ fn lower(head: u32, raw: &[Predecoded], guard_slot: Option<(Predecoded, u32)>) -
     Block { head, ops, cycles, class_insns, class_cycles, insn_cycles, guard }
 }
 
-/// Executes one infallible register-to-register effect across every
-/// active lane of a structure-of-arrays register file — the lane
-/// engine's vectorized complement of the scalar `System::exec_alu`: the
-/// effect is matched **once** and the chosen arm loops over the lane
-/// columns, so the dispatch cost (and the per-op match misprediction)
-/// is amortized across the whole group. Each arm's per-lane body is the
-/// scalar arm verbatim, which is what keeps lockstep bit-identical to N
-/// sequential runs.
-///
-/// `regs` is register-major (`regs[r][lane]`), so one op streams
-/// through at most three contiguous lane rows. Writes to `r0` are
-/// absorbed by re-zeroing its whole row once after the loop — the plane
-/// version of [`crate::Cpu::set_reg`]'s branchless re-zero.
-///
-/// `FULL` is the caller's promise that every lane is active: the
-/// per-lane mask loads compile out, the lane loops become straight-line
-/// over whole plane rows, and the compiler is free to vectorize them.
-/// The caller tracks mask fullness (it already maintains the mask) and
-/// picks the instantiation per op — the masked copy stays the safe
-/// fallback for partially-diverged groups.
-///
-/// Returns `false` (having executed nothing) for the four memory
-/// effects: those fault, produce effective addresses, and may route to
-/// per-lane OPB buses, so the caller owns them lane by lane.
-#[allow(clippy::too_many_lines)]
-pub(crate) fn exec_effect_lanes<const LANES: usize, const FULL: bool>(
-    effect: &Effect,
-    regs: &mut [[u32; LANES]; 32],
-    carry: &mut [bool; LANES],
-    imm: &mut [Option<u16>; LANES],
-    mask: &[bool; LANES],
-) -> bool {
-    use crate::machine::{compare, divide};
-
-    /// `rd[l] = body(ra[l])` over active lanes, then re-zero `r0`.
-    macro_rules! unop {
-        ($rd:expr, $ra:expr, |$a:ident| $v:expr) => {{
-            let (rd, ra) = ($rd.index() & 31, $ra.index() & 31);
-            for l in 0..LANES {
-                if FULL || mask[l] {
-                    let $a = regs[ra][l];
-                    regs[rd][l] = $v;
-                }
-            }
-            if rd == 0 {
-                regs[0] = [0; LANES];
-            }
-        }};
-    }
-
-    /// `rd[l] = body(ra[l], rb[l])` over active lanes, then re-zero `r0`.
-    macro_rules! binop {
-        ($rd:expr, $ra:expr, $rb:expr, |$a:ident, $b:ident| $v:expr) => {{
-            let (rd, ra, rb) = ($rd.index() & 31, $ra.index() & 31, $rb.index() & 31);
-            for l in 0..LANES {
-                if FULL || mask[l] {
-                    let $a = regs[ra][l];
-                    let $b = regs[rb][l];
-                    regs[rd][l] = $v;
-                }
-            }
-            if rd == 0 {
-                regs[0] = [0; LANES];
-            }
-        }};
-    }
-
-    /// The `add`/`rsub` families: wide add of `lhs + rhs + carry-in`,
-    /// with the carry plane updated unless the op keeps flags.
-    macro_rules! addop {
-        ($rd:expr, $ra:expr, $keep:expr, $use_c:expr, $default_cin:expr,
-         |$a:ident| $lhs:expr, |$l:ident| $rhs:expr) => {{
-            let (rd, ra) = ($rd.index() & 31, $ra.index() & 31);
-            for $l in 0..LANES {
-                if FULL || mask[$l] {
-                    let cin = if $use_c { u64::from(carry[$l]) } else { $default_cin };
-                    let $a = regs[ra][$l];
-                    let wide = u64::from($lhs) + u64::from($rhs) + cin;
-                    if !$keep {
-                        carry[$l] = wide >> 32 != 0;
-                    }
-                    regs[rd][$l] = wide as u32;
-                }
-            }
-            if rd == 0 {
-                regs[0] = [0; LANES];
-            }
-        }};
-    }
-
-    match *effect {
-        Effect::Add { rd, ra, rb, keep, use_c } => {
-            let rbi = rb.index() & 31;
-            addop!(rd, ra, keep, use_c, 0, |a| a, |l| regs[rbi][l]);
-        }
-        Effect::AddImm { rd, ra, imm, keep, use_c } => {
-            addop!(rd, ra, keep, use_c, 0, |a| a, |_l| imm);
-        }
-        Effect::Rsub { rd, ra, rb, keep, use_c } => {
-            let rbi = rb.index() & 31;
-            addop!(rd, ra, keep, use_c, 1, |a| !a, |l| regs[rbi][l]);
-        }
-        Effect::RsubImm { rd, ra, imm, keep, use_c } => {
-            addop!(rd, ra, keep, use_c, 1, |a| !a, |_l| imm);
-        }
-        Effect::Cmp { rd, ra, rb, unsigned } => {
-            binop!(rd, ra, rb, |a, b| compare(a, b, unsigned));
-        }
-        Effect::Mul { rd, ra, rb } => binop!(rd, ra, rb, |a, b| a.wrapping_mul(b)),
-        Effect::MulImm { rd, ra, imm } => unop!(rd, ra, |a| a.wrapping_mul(imm)),
-        Effect::Idiv { rd, ra, rb, unsigned } => {
-            binop!(rd, ra, rb, |a, b| divide(a, b, unsigned));
-        }
-        Effect::Bs { rd, ra, rb, kind } => binop!(rd, ra, rb, |a, b| kind.apply(a, b)),
-        Effect::BsImm { rd, ra, amount, kind } => unop!(rd, ra, |a| kind.apply(a, amount)),
-        Effect::Or { rd, ra, rb } => binop!(rd, ra, rb, |a, b| a | b),
-        Effect::And { rd, ra, rb } => binop!(rd, ra, rb, |a, b| a & b),
-        Effect::Xor { rd, ra, rb } => binop!(rd, ra, rb, |a, b| a ^ b),
-        Effect::Andn { rd, ra, rb } => binop!(rd, ra, rb, |a, b| a & !b),
-        Effect::OrImm { rd, ra, imm } => unop!(rd, ra, |a| a | imm),
-        Effect::AndImm { rd, ra, imm } => unop!(rd, ra, |a| a & imm),
-        Effect::XorImm { rd, ra, imm } => unop!(rd, ra, |a| a ^ imm),
-        Effect::AndnImm { rd, ra, imm } => unop!(rd, ra, |a| a & !imm),
-        Effect::Sra { rd, ra } => {
-            let (rd, ra) = (rd.index() & 31, ra.index() & 31);
-            for l in 0..LANES {
-                if FULL || mask[l] {
-                    let a = regs[ra][l];
-                    carry[l] = a & 1 != 0;
-                    regs[rd][l] = ((a as i32) >> 1) as u32;
-                }
-            }
-            if rd == 0 {
-                regs[0] = [0; LANES];
-            }
-        }
-        Effect::Src { rd, ra } => {
-            let (rd, ra) = (rd.index() & 31, ra.index() & 31);
-            for l in 0..LANES {
-                if FULL || mask[l] {
-                    let a = regs[ra][l];
-                    let v = (u32::from(carry[l]) << 31) | (a >> 1);
-                    carry[l] = a & 1 != 0;
-                    regs[rd][l] = v;
-                }
-            }
-            if rd == 0 {
-                regs[0] = [0; LANES];
-            }
-        }
-        Effect::Srl { rd, ra } => {
-            let (rd, ra) = (rd.index() & 31, ra.index() & 31);
-            for l in 0..LANES {
-                if FULL || mask[l] {
-                    let a = regs[ra][l];
-                    carry[l] = a & 1 != 0;
-                    regs[rd][l] = a >> 1;
-                }
-            }
-            if rd == 0 {
-                regs[0] = [0; LANES];
-            }
-        }
-        Effect::Sext8 { rd, ra } => unop!(rd, ra, |a| a as u8 as i8 as i32 as u32),
-        Effect::Sext16 { rd, ra } => unop!(rd, ra, |a| a as u16 as i16 as i32 as u32),
-        Effect::ImmFused { .. } => {}
-        Effect::ImmTrailing { hi } => {
-            for l in 0..LANES {
-                if FULL || mask[l] {
-                    imm[l] = Some(hi as u16);
-                }
-            }
-        }
-        Effect::Load { .. }
-        | Effect::LoadImm { .. }
-        | Effect::Store { .. }
-        | Effect::StoreImm { .. } => return false,
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -100,19 +100,6 @@ impl Cpu {
     pub fn reset(&mut self) {
         *self = Cpu::new();
     }
-
-    /// The raw register file, `r0` included — used by the lane engine to
-    /// materialize one lane's plane column as an ordinary [`Cpu`] for
-    /// the bit-equality suites.
-    pub(crate) fn regs_mut(&mut self) -> &mut [u32; 32] {
-        &mut self.regs
-    }
-
-    /// Restores a raw pending `imm` prefix (upper 16 bits) when the
-    /// lane engine materializes a plane column as a [`Cpu`].
-    pub(crate) fn set_imm_prefix_raw(&mut self, prefix: Option<u16>) {
-        self.imm_prefix = prefix;
-    }
 }
 
 impl Default for Cpu {

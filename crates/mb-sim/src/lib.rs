@@ -44,7 +44,6 @@ pub mod cache;
 mod config;
 mod cpu;
 mod image;
-mod lanes;
 mod machine;
 mod mem;
 mod periph;
@@ -57,7 +56,6 @@ mod trace;
 pub use config::{MbConfig, MB_CLOCK_HZ};
 pub use cpu::Cpu;
 pub use image::ProgramImage;
-pub use lanes::{LaneGroup, LOCKSTEP_ENGINE};
 pub use machine::{Engine, Outcome, RunError, StopReason, System};
 pub use mem::{Bram, MemError};
 pub use periph::{BusResponse, ExitPort, Peripheral, EXIT_PORT_BASE, OPB_BASE};

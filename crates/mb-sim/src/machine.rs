@@ -147,12 +147,11 @@ impl fmt::Display for Engine {
 }
 
 /// MicroBlaze divide semantics, shared verbatim by the step engine's
-/// [`System::execute`], the block engine's `exec_effect`, and the lane
-/// engine's vectorized effect walk so the three can never drift:
-/// `rd = dividend ÷ divisor`, divide-by-zero yields 0, and signed
-/// overflow (`i32::MIN / -1`) wraps.
+/// [`System::execute`] and the block engine's `exec_effect` so the two
+/// can never drift: `rd = dividend ÷ divisor`, divide-by-zero yields 0,
+/// and signed overflow (`i32::MIN / -1`) wraps.
 #[inline]
-pub(crate) fn divide(divisor: u32, dividend: u32, unsigned: bool) -> u32 {
+fn divide(divisor: u32, dividend: u32, unsigned: bool) -> u32 {
     if divisor == 0 {
         0
     } else if unsigned {
@@ -166,316 +165,25 @@ pub(crate) fn divide(divisor: u32, dividend: u32, unsigned: bool) -> u32 {
 /// subtraction's low 31 bits with the sign bit replaced by the
 /// (signedness-aware) `rb < ra` outcome.
 #[inline]
-pub(crate) fn compare(a: u32, b: u32, unsigned: bool) -> u32 {
+fn compare(a: u32, b: u32, unsigned: bool) -> u32 {
     let diff = b.wrapping_sub(a);
     let lt = if unsigned { b < a } else { (b as i32) < (a as i32) };
     (diff & 0x7FFF_FFFF) | (u32::from(lt) << 31)
 }
 
 /// Control-flow outcome of one instruction.
-pub(crate) enum Next {
+enum Next {
     Seq,
     Jump(u32),
     JumpAfterDelay(u32),
 }
 
-pub(crate) struct Exec {
-    pub(crate) next: Next,
-    pub(crate) cycles: u32,
-    pub(crate) taken: Option<bool>,
-    pub(crate) target: Option<u32>,
-    pub(crate) ea: Option<u32>,
-}
-
-/// One architectural execution context — a register file, carry flag,
-/// `imm`-prefix latch, and a data port — viewed through accessors so the
-/// scalar interpreter in [`exec_insn`] is the *single* implementation of
-/// MicroBlaze semantics for both the [`System`] (its CPU + dmem + OPB +
-/// dcache) and each lane of a [`crate::LaneGroup`] (one column of the
-/// structure-of-arrays planes + that lane's private dmem/OPB).
-///
-/// The default-implemented helpers (`add_with_carry`, the single-bit
-/// shifts) sit here for the same reason `divide`/`compare` are free
-/// functions: one implementation that no engine can drift from.
-pub(crate) trait ExecLane {
-    fn reg(&self, r: mb_isa::Reg) -> u32;
-    fn set_reg(&mut self, r: mb_isa::Reg, v: u32);
-    fn carry(&self) -> bool;
-    fn set_carry(&mut self, c: bool);
-    fn set_imm_prefix(&mut self, hi: i16);
-    fn take_imm(&mut self, imm: i16) -> u32;
-    fn clear_imm_prefix(&mut self);
-    /// Loads through this context's data port (dmem or OPB), returning
-    /// `(value, wait_cycles)`.
-    fn lane_load(&mut self, pc: u32, addr: u32, size: MemSize) -> Result<(u32, u32), RunError>;
-    /// Stores through this context's data port, returning wait cycles.
-    fn lane_store(
-        &mut self,
-        pc: u32,
-        addr: u32,
-        value: u32,
-        size: MemSize,
-    ) -> Result<u32, RunError>;
-
-    fn add_with_carry(&mut self, a: u32, b: u32, cin: u32, keep: bool) -> u32 {
-        let wide = u64::from(a) + u64::from(b) + u64::from(cin);
-        if !keep {
-            self.set_carry(wide >> 32 != 0);
-        }
-        wide as u32
-    }
-
-    // Single-bit shifts write both `rd` and the carry flag; the helpers
-    // keep every engine on one implementation.
-    #[inline]
-    fn shift_sra(&mut self, rd: mb_isa::Reg, ra: mb_isa::Reg) {
-        let a = self.reg(ra);
-        self.set_carry(a & 1 != 0);
-        self.set_reg(rd, ((a as i32) >> 1) as u32);
-    }
-
-    #[inline]
-    fn shift_src(&mut self, rd: mb_isa::Reg, ra: mb_isa::Reg, carry_in: u32) {
-        let a = self.reg(ra);
-        let v = (carry_in << 31) | (a >> 1);
-        self.set_carry(a & 1 != 0);
-        self.set_reg(rd, v);
-    }
-
-    #[inline]
-    fn shift_srl(&mut self, rd: mb_isa::Reg, ra: mb_isa::Reg) {
-        let a = self.reg(ra);
-        self.set_carry(a & 1 != 0);
-        self.set_reg(rd, a >> 1);
-    }
-}
-
-/// Executes one prepared instruction against any [`ExecLane`] context
-/// (no delay-slot handling). This is the interpreter the step engine
-/// monomorphizes over [`System`] and the lane engine monomorphizes over
-/// a lane view — byte-for-byte the same semantics.
-#[inline]
-pub(crate) fn exec_insn<L: ExecLane>(
-    lane: &mut L,
-    pc: u32,
-    d: &Predecoded,
-) -> Result<Exec, RunError> {
-    if !d.supported {
-        return Err(RunError::UnsupportedInsn { pc });
-    }
-    let cpu_carry = u32::from(lane.carry());
-    let mut cycles = d.lat_not_taken;
-    let mut next = Next::Seq;
-    let mut taken = None;
-    let mut target = None;
-    let mut ea = None;
-
-    match d.insn {
-        Insn::Add { rd, ra, rb, keep_carry, use_carry } => {
-            let cin = if use_carry { cpu_carry } else { 0 };
-            let v = lane.add_with_carry(lane.reg(ra), lane.reg(rb), cin, keep_carry);
-            lane.set_reg(rd, v);
-            lane.clear_imm_prefix();
-        }
-        Insn::Rsub { rd, ra, rb, keep_carry, use_carry } => {
-            let cin = if use_carry { cpu_carry } else { 1 };
-            let v = lane.add_with_carry(!lane.reg(ra), lane.reg(rb), cin, keep_carry);
-            lane.set_reg(rd, v);
-            lane.clear_imm_prefix();
-        }
-        Insn::Addi { rd, ra, imm, keep_carry, use_carry } => {
-            let imm32 = lane.take_imm(imm);
-            let cin = if use_carry { cpu_carry } else { 0 };
-            let v = lane.add_with_carry(lane.reg(ra), imm32, cin, keep_carry);
-            lane.set_reg(rd, v);
-        }
-        Insn::Rsubi { rd, ra, imm, keep_carry, use_carry } => {
-            let imm32 = lane.take_imm(imm);
-            let cin = if use_carry { cpu_carry } else { 1 };
-            let v = lane.add_with_carry(!lane.reg(ra), imm32, cin, keep_carry);
-            lane.set_reg(rd, v);
-        }
-        Insn::Cmp { rd, ra, rb, unsigned } => {
-            let v = compare(lane.reg(ra), lane.reg(rb), unsigned);
-            lane.set_reg(rd, v);
-            lane.clear_imm_prefix();
-        }
-        Insn::Mul { rd, ra, rb } => {
-            let v = lane.reg(ra).wrapping_mul(lane.reg(rb));
-            lane.set_reg(rd, v);
-            lane.clear_imm_prefix();
-        }
-        Insn::Muli { rd, ra, imm } => {
-            let imm32 = lane.take_imm(imm);
-            let v = lane.reg(ra).wrapping_mul(imm32);
-            lane.set_reg(rd, v);
-        }
-        Insn::Idiv { rd, ra, rb, unsigned } => {
-            // MicroBlaze: rd = rb ÷ ra.
-            let v = divide(lane.reg(ra), lane.reg(rb), unsigned);
-            lane.set_reg(rd, v);
-            lane.clear_imm_prefix();
-        }
-        Insn::Bs { rd, ra, rb, kind } => {
-            let v = kind.apply(lane.reg(ra), lane.reg(rb));
-            lane.set_reg(rd, v);
-            lane.clear_imm_prefix();
-        }
-        Insn::Bsi { rd, ra, amount, kind } => {
-            let v = kind.apply(lane.reg(ra), u32::from(amount));
-            lane.set_reg(rd, v);
-            lane.clear_imm_prefix();
-        }
-        Insn::Or { rd, ra, rb } => {
-            let v = lane.reg(ra) | lane.reg(rb);
-            lane.set_reg(rd, v);
-            lane.clear_imm_prefix();
-        }
-        Insn::And { rd, ra, rb } => {
-            let v = lane.reg(ra) & lane.reg(rb);
-            lane.set_reg(rd, v);
-            lane.clear_imm_prefix();
-        }
-        Insn::Xor { rd, ra, rb } => {
-            let v = lane.reg(ra) ^ lane.reg(rb);
-            lane.set_reg(rd, v);
-            lane.clear_imm_prefix();
-        }
-        Insn::Andn { rd, ra, rb } => {
-            let v = lane.reg(ra) & !lane.reg(rb);
-            lane.set_reg(rd, v);
-            lane.clear_imm_prefix();
-        }
-        Insn::Ori { rd, ra, imm } => {
-            let imm32 = lane.take_imm(imm);
-            let v = lane.reg(ra) | imm32;
-            lane.set_reg(rd, v);
-        }
-        Insn::Andi { rd, ra, imm } => {
-            let imm32 = lane.take_imm(imm);
-            let v = lane.reg(ra) & imm32;
-            lane.set_reg(rd, v);
-        }
-        Insn::Xori { rd, ra, imm } => {
-            let imm32 = lane.take_imm(imm);
-            let v = lane.reg(ra) ^ imm32;
-            lane.set_reg(rd, v);
-        }
-        Insn::Andni { rd, ra, imm } => {
-            let imm32 = lane.take_imm(imm);
-            let v = lane.reg(ra) & !imm32;
-            lane.set_reg(rd, v);
-        }
-        Insn::Sra { rd, ra } => {
-            lane.shift_sra(rd, ra);
-            lane.clear_imm_prefix();
-        }
-        Insn::Src { rd, ra } => {
-            lane.shift_src(rd, ra, cpu_carry);
-            lane.clear_imm_prefix();
-        }
-        Insn::Srl { rd, ra } => {
-            lane.shift_srl(rd, ra);
-            lane.clear_imm_prefix();
-        }
-        Insn::Sext8 { rd, ra } => {
-            let v = lane.reg(ra) as u8 as i8 as i32 as u32;
-            lane.set_reg(rd, v);
-            lane.clear_imm_prefix();
-        }
-        Insn::Sext16 { rd, ra } => {
-            let v = lane.reg(ra) as u16 as i16 as i32 as u32;
-            lane.set_reg(rd, v);
-            lane.clear_imm_prefix();
-        }
-        Insn::Br { rd, rb, link, absolute, delay } => {
-            let t = if absolute { lane.reg(rb) } else { pc.wrapping_add(lane.reg(rb)) };
-            if link {
-                lane.set_reg(rd, pc);
-            }
-            lane.clear_imm_prefix();
-            cycles = d.lat_taken;
-            taken = Some(true);
-            target = Some(t);
-            next = if delay { Next::JumpAfterDelay(t) } else { Next::Jump(t) };
-        }
-        Insn::Bri { rd, imm, link, absolute, delay } => {
-            let imm32 = lane.take_imm(imm);
-            let t = if absolute { imm32 } else { pc.wrapping_add(imm32) };
-            if link {
-                lane.set_reg(rd, pc);
-            }
-            cycles = d.lat_taken;
-            taken = Some(true);
-            target = Some(t);
-            next = if delay { Next::JumpAfterDelay(t) } else { Next::Jump(t) };
-        }
-        Insn::Bc { cond, ra, rb, delay } => {
-            let t = pc.wrapping_add(lane.reg(rb));
-            let is_taken = cond.eval(lane.reg(ra));
-            lane.clear_imm_prefix();
-            cycles = if is_taken { d.lat_taken } else { d.lat_not_taken };
-            taken = Some(is_taken);
-            if is_taken {
-                target = Some(t);
-                next = if delay { Next::JumpAfterDelay(t) } else { Next::Jump(t) };
-            }
-        }
-        Insn::Bci { cond, ra, imm, delay } => {
-            let imm32 = lane.take_imm(imm);
-            let t = pc.wrapping_add(imm32);
-            let is_taken = cond.eval(lane.reg(ra));
-            cycles = if is_taken { d.lat_taken } else { d.lat_not_taken };
-            taken = Some(is_taken);
-            if is_taken {
-                target = Some(t);
-                next = if delay { Next::JumpAfterDelay(t) } else { Next::Jump(t) };
-            }
-        }
-        Insn::Rtsd { ra, imm } => {
-            let imm32 = lane.take_imm(imm);
-            let t = lane.reg(ra).wrapping_add(imm32);
-            cycles = d.lat_taken;
-            taken = Some(true);
-            target = Some(t);
-            next = Next::JumpAfterDelay(t);
-        }
-        Insn::Load { size, rd, ra, rb } => {
-            let addr = lane.reg(ra).wrapping_add(lane.reg(rb));
-            let (v, wait) = lane.lane_load(pc, addr, size)?;
-            lane.set_reg(rd, v);
-            lane.clear_imm_prefix();
-            cycles += wait;
-            ea = Some(addr);
-        }
-        Insn::Loadi { size, rd, ra, imm } => {
-            let imm32 = lane.take_imm(imm);
-            let addr = lane.reg(ra).wrapping_add(imm32);
-            let (v, wait) = lane.lane_load(pc, addr, size)?;
-            lane.set_reg(rd, v);
-            cycles += wait;
-            ea = Some(addr);
-        }
-        Insn::Store { size, rd, ra, rb } => {
-            let addr = lane.reg(ra).wrapping_add(lane.reg(rb));
-            let wait = lane.lane_store(pc, addr, lane.reg(rd), size)?;
-            lane.clear_imm_prefix();
-            cycles += wait;
-            ea = Some(addr);
-        }
-        Insn::Storei { size, rd, ra, imm } => {
-            let imm32 = lane.take_imm(imm);
-            let addr = lane.reg(ra).wrapping_add(imm32);
-            let wait = lane.lane_store(pc, addr, lane.reg(rd), size)?;
-            cycles += wait;
-            ea = Some(addr);
-        }
-        Insn::Imm { imm } => {
-            lane.set_imm_prefix(imm);
-        }
-    }
-
-    Ok(Exec { next, cycles, taken, target, ea })
+struct Exec {
+    next: Next,
+    cycles: u32,
+    taken: Option<bool>,
+    target: Option<u32>,
+    ea: Option<u32>,
 }
 
 /// A complete MicroBlaze system (Figure 1 of the paper): CPU, separate
@@ -676,86 +384,262 @@ impl System {
             Ok(self.dcache.as_mut().map_or(0, |c| c.access(addr)))
         }
     }
-}
 
-impl ExecLane for System {
-    #[inline]
-    fn reg(&self, r: mb_isa::Reg) -> u32 {
-        self.cpu.reg(r)
-    }
-
-    #[inline]
-    fn set_reg(&mut self, r: mb_isa::Reg, v: u32) {
-        self.cpu.set_reg(r, v);
-    }
-
-    #[inline]
-    fn carry(&self) -> bool {
-        self.cpu.carry()
-    }
-
-    #[inline]
-    fn set_carry(&mut self, c: bool) {
-        self.cpu.set_carry(c);
-    }
-
-    #[inline]
-    fn set_imm_prefix(&mut self, hi: i16) {
-        self.cpu.set_imm_prefix(hi);
-    }
-
-    #[inline]
-    fn take_imm(&mut self, imm: i16) -> u32 {
-        self.cpu.take_imm(imm)
-    }
-
-    #[inline]
-    fn clear_imm_prefix(&mut self) {
-        self.cpu.clear_imm_prefix();
-    }
-
-    #[inline]
-    fn lane_load(&mut self, pc: u32, addr: u32, size: MemSize) -> Result<(u32, u32), RunError> {
-        self.data_load(pc, addr, size)
-    }
-
-    #[inline]
-    fn lane_store(
-        &mut self,
-        pc: u32,
-        addr: u32,
-        value: u32,
-        size: MemSize,
-    ) -> Result<u32, RunError> {
-        self.data_store(pc, addr, value, size)
-    }
-}
-
-impl System {
-    /// Executes one prepared instruction (no delay-slot handling) —
-    /// the [`exec_insn`] interpreter monomorphized over this system's
-    /// own CPU, dmem, dcache, and OPB.
+    /// Executes one prepared instruction (no delay-slot handling) over
+    /// this system's CPU, dmem, dcache, and OPB: the one implementation
+    /// of MicroBlaze instruction semantics, which the block engine's
+    /// lowered effects ([`exec_alu`](System::exec_alu),
+    /// [`exec_mem`](System::exec_mem)) mirror.
     #[inline]
     fn execute(&mut self, pc: u32, d: &Predecoded) -> Result<Exec, RunError> {
-        exec_insn(self, pc, d)
+        if !d.supported {
+            return Err(RunError::UnsupportedInsn { pc });
+        }
+        let cpu_carry = u32::from(self.cpu.carry());
+        let mut cycles = d.lat_not_taken;
+        let mut next = Next::Seq;
+        let mut taken = None;
+        let mut target = None;
+        let mut ea = None;
+
+        match d.insn {
+            Insn::Add { rd, ra, rb, keep_carry, use_carry } => {
+                let cin = if use_carry { cpu_carry } else { 0 };
+                let v = self.add_with_carry(self.cpu.reg(ra), self.cpu.reg(rb), cin, keep_carry);
+                self.cpu.set_reg(rd, v);
+                self.cpu.clear_imm_prefix();
+            }
+            Insn::Rsub { rd, ra, rb, keep_carry, use_carry } => {
+                let cin = if use_carry { cpu_carry } else { 1 };
+                let v = self.add_with_carry(!self.cpu.reg(ra), self.cpu.reg(rb), cin, keep_carry);
+                self.cpu.set_reg(rd, v);
+                self.cpu.clear_imm_prefix();
+            }
+            Insn::Addi { rd, ra, imm, keep_carry, use_carry } => {
+                let imm32 = self.cpu.take_imm(imm);
+                let cin = if use_carry { cpu_carry } else { 0 };
+                let v = self.add_with_carry(self.cpu.reg(ra), imm32, cin, keep_carry);
+                self.cpu.set_reg(rd, v);
+            }
+            Insn::Rsubi { rd, ra, imm, keep_carry, use_carry } => {
+                let imm32 = self.cpu.take_imm(imm);
+                let cin = if use_carry { cpu_carry } else { 1 };
+                let v = self.add_with_carry(!self.cpu.reg(ra), imm32, cin, keep_carry);
+                self.cpu.set_reg(rd, v);
+            }
+            Insn::Cmp { rd, ra, rb, unsigned } => {
+                let v = compare(self.cpu.reg(ra), self.cpu.reg(rb), unsigned);
+                self.cpu.set_reg(rd, v);
+                self.cpu.clear_imm_prefix();
+            }
+            Insn::Mul { rd, ra, rb } => {
+                let v = self.cpu.reg(ra).wrapping_mul(self.cpu.reg(rb));
+                self.cpu.set_reg(rd, v);
+                self.cpu.clear_imm_prefix();
+            }
+            Insn::Muli { rd, ra, imm } => {
+                let imm32 = self.cpu.take_imm(imm);
+                let v = self.cpu.reg(ra).wrapping_mul(imm32);
+                self.cpu.set_reg(rd, v);
+            }
+            Insn::Idiv { rd, ra, rb, unsigned } => {
+                // MicroBlaze: rd = rb ÷ ra.
+                let v = divide(self.cpu.reg(ra), self.cpu.reg(rb), unsigned);
+                self.cpu.set_reg(rd, v);
+                self.cpu.clear_imm_prefix();
+            }
+            Insn::Bs { rd, ra, rb, kind } => {
+                let v = kind.apply(self.cpu.reg(ra), self.cpu.reg(rb));
+                self.cpu.set_reg(rd, v);
+                self.cpu.clear_imm_prefix();
+            }
+            Insn::Bsi { rd, ra, amount, kind } => {
+                let v = kind.apply(self.cpu.reg(ra), u32::from(amount));
+                self.cpu.set_reg(rd, v);
+                self.cpu.clear_imm_prefix();
+            }
+            Insn::Or { rd, ra, rb } => {
+                let v = self.cpu.reg(ra) | self.cpu.reg(rb);
+                self.cpu.set_reg(rd, v);
+                self.cpu.clear_imm_prefix();
+            }
+            Insn::And { rd, ra, rb } => {
+                let v = self.cpu.reg(ra) & self.cpu.reg(rb);
+                self.cpu.set_reg(rd, v);
+                self.cpu.clear_imm_prefix();
+            }
+            Insn::Xor { rd, ra, rb } => {
+                let v = self.cpu.reg(ra) ^ self.cpu.reg(rb);
+                self.cpu.set_reg(rd, v);
+                self.cpu.clear_imm_prefix();
+            }
+            Insn::Andn { rd, ra, rb } => {
+                let v = self.cpu.reg(ra) & !self.cpu.reg(rb);
+                self.cpu.set_reg(rd, v);
+                self.cpu.clear_imm_prefix();
+            }
+            Insn::Ori { rd, ra, imm } => {
+                let imm32 = self.cpu.take_imm(imm);
+                let v = self.cpu.reg(ra) | imm32;
+                self.cpu.set_reg(rd, v);
+            }
+            Insn::Andi { rd, ra, imm } => {
+                let imm32 = self.cpu.take_imm(imm);
+                let v = self.cpu.reg(ra) & imm32;
+                self.cpu.set_reg(rd, v);
+            }
+            Insn::Xori { rd, ra, imm } => {
+                let imm32 = self.cpu.take_imm(imm);
+                let v = self.cpu.reg(ra) ^ imm32;
+                self.cpu.set_reg(rd, v);
+            }
+            Insn::Andni { rd, ra, imm } => {
+                let imm32 = self.cpu.take_imm(imm);
+                let v = self.cpu.reg(ra) & !imm32;
+                self.cpu.set_reg(rd, v);
+            }
+            Insn::Sra { rd, ra } => {
+                self.shift_sra(rd, ra);
+                self.cpu.clear_imm_prefix();
+            }
+            Insn::Src { rd, ra } => {
+                self.shift_src(rd, ra, cpu_carry);
+                self.cpu.clear_imm_prefix();
+            }
+            Insn::Srl { rd, ra } => {
+                self.shift_srl(rd, ra);
+                self.cpu.clear_imm_prefix();
+            }
+            Insn::Sext8 { rd, ra } => {
+                let v = self.cpu.reg(ra) as u8 as i8 as i32 as u32;
+                self.cpu.set_reg(rd, v);
+                self.cpu.clear_imm_prefix();
+            }
+            Insn::Sext16 { rd, ra } => {
+                let v = self.cpu.reg(ra) as u16 as i16 as i32 as u32;
+                self.cpu.set_reg(rd, v);
+                self.cpu.clear_imm_prefix();
+            }
+            Insn::Br { rd, rb, link, absolute, delay } => {
+                let t = if absolute { self.cpu.reg(rb) } else { pc.wrapping_add(self.cpu.reg(rb)) };
+                if link {
+                    self.cpu.set_reg(rd, pc);
+                }
+                self.cpu.clear_imm_prefix();
+                cycles = d.lat_taken;
+                taken = Some(true);
+                target = Some(t);
+                next = if delay { Next::JumpAfterDelay(t) } else { Next::Jump(t) };
+            }
+            Insn::Bri { rd, imm, link, absolute, delay } => {
+                let imm32 = self.cpu.take_imm(imm);
+                let t = if absolute { imm32 } else { pc.wrapping_add(imm32) };
+                if link {
+                    self.cpu.set_reg(rd, pc);
+                }
+                cycles = d.lat_taken;
+                taken = Some(true);
+                target = Some(t);
+                next = if delay { Next::JumpAfterDelay(t) } else { Next::Jump(t) };
+            }
+            Insn::Bc { cond, ra, rb, delay } => {
+                let t = pc.wrapping_add(self.cpu.reg(rb));
+                let is_taken = cond.eval(self.cpu.reg(ra));
+                self.cpu.clear_imm_prefix();
+                cycles = if is_taken { d.lat_taken } else { d.lat_not_taken };
+                taken = Some(is_taken);
+                if is_taken {
+                    target = Some(t);
+                    next = if delay { Next::JumpAfterDelay(t) } else { Next::Jump(t) };
+                }
+            }
+            Insn::Bci { cond, ra, imm, delay } => {
+                let imm32 = self.cpu.take_imm(imm);
+                let t = pc.wrapping_add(imm32);
+                let is_taken = cond.eval(self.cpu.reg(ra));
+                cycles = if is_taken { d.lat_taken } else { d.lat_not_taken };
+                taken = Some(is_taken);
+                if is_taken {
+                    target = Some(t);
+                    next = if delay { Next::JumpAfterDelay(t) } else { Next::Jump(t) };
+                }
+            }
+            Insn::Rtsd { ra, imm } => {
+                let imm32 = self.cpu.take_imm(imm);
+                let t = self.cpu.reg(ra).wrapping_add(imm32);
+                cycles = d.lat_taken;
+                taken = Some(true);
+                target = Some(t);
+                next = Next::JumpAfterDelay(t);
+            }
+            Insn::Load { size, rd, ra, rb } => {
+                let addr = self.cpu.reg(ra).wrapping_add(self.cpu.reg(rb));
+                let (v, wait) = self.data_load(pc, addr, size)?;
+                self.cpu.set_reg(rd, v);
+                self.cpu.clear_imm_prefix();
+                cycles += wait;
+                ea = Some(addr);
+            }
+            Insn::Loadi { size, rd, ra, imm } => {
+                let imm32 = self.cpu.take_imm(imm);
+                let addr = self.cpu.reg(ra).wrapping_add(imm32);
+                let (v, wait) = self.data_load(pc, addr, size)?;
+                self.cpu.set_reg(rd, v);
+                cycles += wait;
+                ea = Some(addr);
+            }
+            Insn::Store { size, rd, ra, rb } => {
+                let addr = self.cpu.reg(ra).wrapping_add(self.cpu.reg(rb));
+                let wait = self.data_store(pc, addr, self.cpu.reg(rd), size)?;
+                self.cpu.clear_imm_prefix();
+                cycles += wait;
+                ea = Some(addr);
+            }
+            Insn::Storei { size, rd, ra, imm } => {
+                let imm32 = self.cpu.take_imm(imm);
+                let addr = self.cpu.reg(ra).wrapping_add(imm32);
+                let wait = self.data_store(pc, addr, self.cpu.reg(rd), size)?;
+                cycles += wait;
+                ea = Some(addr);
+            }
+            Insn::Imm { imm } => {
+                self.cpu.set_imm_prefix(imm);
+            }
+        }
+
+        Ok(Exec { next, cycles, taken, target, ea })
     }
 
-    /// Fetches the predecoded instruction at `pc` for a lane engine
-    /// sharing this system's decode store. Lane groups reject cache
-    /// configurations, so the icache wait the scalar path would add is
-    /// structurally zero here.
-    #[inline]
-    pub(crate) fn fetch_shared(&mut self, pc: u32) -> Result<Predecoded, RunError> {
-        debug_assert!(self.icache.is_none(), "lane fetch bypasses icache accounting");
-        self.fetch(pc).map(|(d, _)| d)
+    fn add_with_carry(&mut self, a: u32, b: u32, cin: u32, keep: bool) -> u32 {
+        let wide = u64::from(a) + u64::from(b) + u64::from(cin);
+        if !keep {
+            self.cpu.set_carry(wide >> 32 != 0);
+        }
+        wide as u32
     }
 
-    /// Records that `pc` turned out to touch the OPB window so rebuilt
-    /// blocks split before it — the lane engine's access to the same
-    /// learning the block engine does at its OPB early-out.
+    // Single-bit shifts write both `rd` and the carry flag; the helpers
+    // keep the step and block engines on one implementation.
     #[inline]
-    pub(crate) fn learn_opb(&mut self, pc: u32) {
-        self.blocks.learn_opb(pc);
+    fn shift_sra(&mut self, rd: mb_isa::Reg, ra: mb_isa::Reg) {
+        let a = self.cpu.reg(ra);
+        self.cpu.set_carry(a & 1 != 0);
+        self.cpu.set_reg(rd, ((a as i32) >> 1) as u32);
+    }
+
+    #[inline]
+    fn shift_src(&mut self, rd: mb_isa::Reg, ra: mb_isa::Reg, carry_in: u32) {
+        let a = self.cpu.reg(ra);
+        let v = (carry_in << 31) | (a >> 1);
+        self.cpu.set_carry(a & 1 != 0);
+        self.cpu.set_reg(rd, v);
+    }
+
+    #[inline]
+    fn shift_srl(&mut self, rd: mb_isa::Reg, ra: mb_isa::Reg) {
+        let a = self.cpu.reg(ra);
+        self.cpu.set_carry(a & 1 != 0);
+        self.cpu.set_reg(rd, a >> 1);
     }
 
     #[inline]
@@ -836,12 +720,12 @@ impl System {
     /// dispatch loop switches to op-at-a-time *careful* retirement
     /// ([`System::exec_block_careful`]), which charges state-dependent
     /// waits per op instead of silently downgrading to stepping.
-    pub(crate) fn blocks_enabled(&self) -> bool {
+    fn blocks_enabled(&self) -> bool {
         self.config.blocks && self.config.predecode
     }
 
     /// Looks up (building lazily) the fused block entered at `pc`.
-    pub(crate) fn block_at(&mut self, pc: u32) -> Option<std::sync::Arc<Block>> {
+    fn block_at(&mut self, pc: u32) -> Option<std::sync::Arc<Block>> {
         let System { blocks, decode, imem, config, .. } = self;
         blocks.block_at(decode, imem, &config.features, pc)
     }

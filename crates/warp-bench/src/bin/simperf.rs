@@ -1,18 +1,17 @@
 //! Measures simulation throughput (Minsn/s) across the paper suite in
 //! six run modes — decode-per-fetch reference, per-instruction
 //! predecoded path, superblock engine, megablock trace engine,
-//! streaming summary, full trace — plus the lockstep lane engine
-//! (an 8-lane group vs. the same 8 seeded runs sequential), and writes
-//! `BENCH_sim.json`. Each mode asserts the engine it measures via
-//! `System::active_engine`, so a silent downgrade fails the run instead
-//! of publishing mislabeled numbers.
+//! streaming summary, full trace — and writes `BENCH_sim.json`. Each
+//! mode asserts the engine it measures via `System::active_engine`, so
+//! a silent downgrade fails the run instead of publishing mislabeled
+//! numbers.
 //!
 //! Usage: `simperf [--smoke] [--out <path>]`
 //!
 //! `--smoke` (or `SIMPERF_SMOKE=1`) runs three repetitions per mode for
-//! CI; the default is best-of-10 (single runs are ~1 ms, so repetitions
+//! CI; the default is best-of-40 (single runs are ~1 ms, so repetitions
 //! are cheap and the minimum filters scheduler noise). The JSON schema
-//! (`warp-mb/bench-sim/v6`, with per-workload `engine_coverage`
+//! (`warp-mb/bench-sim/v7`, with per-workload `engine_coverage`
 //! fractions showing which tier — step, block, trace — retired the
 //! instructions) is described in the README's "Performance" section.
 //! Workloads whose per-workload trace-vs-block speedup sits below the
@@ -54,13 +53,6 @@ fn main() {
         "predecoded path vs. seed decode-per-fetch loop:   {:.2}x (trace vs. seed: {:.2}x)",
         perf.aggregate_predecoded_speedup(),
         perf.aggregate_trace_speedup_vs_reference()
-    );
-
-    println!("\nlockstep lane engine ({} lanes, seeded instances):\n", perf.lockstep.lanes);
-    print!("{}", perf.lockstep.render_table());
-    println!(
-        "\nlockstep lane group vs. sequential trace runs:    {:.2}x",
-        perf.lockstep.aggregate_speedup()
     );
 
     for (name, speedup) in perf.below_floor() {

@@ -20,18 +20,12 @@
 //!   batched `retire_block` hook;
 //! * `full_trace` — trace engine recording the complete event vector.
 //!
-//! A seventh measurement covers the lockstep lane engine: one
-//! [`LaneGroup`] executing [`LOCKSTEP_LANES`] seeded instances of each
-//! workload against the same instances run sequentially on the trace
-//! engine, with per-lane outcomes asserted bit-identical before any
-//! number is published.
-//!
 //! Every mode asserts [`System::active_engine`] before timing — the
 //! engine measured is the engine claimed, never a silent downgrade.
 //! Simulated cycle/instruction counts are identical across all six
 //! modes (asserted here, locked in by `tests/sim_fast_path.rs`); only
 //! host speed differs. [`SimPerf::to_json`] emits the `BENCH_sim.json`
-//! document (schema `warp-mb/bench-sim/v6`) CI validates and archives
+//! document (schema `warp-mb/bench-sim/v7`) CI validates and archives
 //! per PR; the schema is documented in the README's "Performance"
 //! section.
 //!
@@ -48,23 +42,18 @@
 //! [`FLOOR_WAIVERS`] are known floor-limited — their diagnosis rides in
 //! the document and the harness binary no longer warns about them;
 //! only *new* below-floor entrants reach stderr.
+//!
+//! v7 drops v6's `lockstep` object along with the lane engine it
+//! measured.
 
 use mb_isa::{MbFeatures, OpClass};
-use mb_sim::{
-    Engine, LaneGroup, MbConfig, NullSink, Outcome, StopReason, System, Trace, TraceSummary,
-    LOCKSTEP_ENGINE,
-};
+use mb_sim::{Engine, MbConfig, NullSink, Outcome, StopReason, System, Trace, TraceSummary};
 use workloads::BuiltWorkload;
 
 use crate::measure::best_of_seconds_with;
 
 /// Cycle budget per measured run (matches the warp flow's default).
 const MAX_CYCLES: u64 = 500_000_000;
-
-/// Lanes in the lockstep measurement: eight seeded instances of each
-/// workload executed by one [`LaneGroup`] against the same eight run
-/// sequentially on the trace engine.
-pub const LOCKSTEP_LANES: usize = 8;
 
 /// Per-workload advisory floor for `trace_speedup_vs_block`: workloads
 /// below it are listed in the JSON `below_floor` array. (The
@@ -181,87 +170,6 @@ impl WorkloadPerf {
     }
 }
 
-/// One workload's lockstep-vs-sequential measurement.
-#[derive(Clone, Debug)]
-pub struct LockstepWorkloadPerf {
-    /// Benchmark name.
-    pub name: String,
-    /// Instructions retired across all lanes (identical in both modes).
-    pub instructions: u64,
-    /// One [`LaneGroup`] running [`LOCKSTEP_LANES`] seeded instances.
-    pub lockstep: ModePerf,
-    /// The same seeded instances run one after another on the trace
-    /// engine.
-    pub sequential: ModePerf,
-}
-
-impl LockstepWorkloadPerf {
-    /// Host speedup of the lane group over the sequential runs.
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        self.sequential.seconds / self.lockstep.seconds
-    }
-}
-
-/// The lockstep lane engine's suite measurement.
-#[derive(Clone, Debug)]
-pub struct LockstepPerf {
-    /// Lanes per group ([`LOCKSTEP_LANES`]).
-    pub lanes: usize,
-    /// Per-workload results in suite order.
-    pub workloads: Vec<LockstepWorkloadPerf>,
-}
-
-impl LockstepPerf {
-    /// Renders the human-readable lockstep table the binary prints.
-    #[must_use]
-    pub fn render_table(&self) -> String {
-        let mut out = format!(
-            "{:>10} | {:>12} {:>12} {:>12} {:>8}\n",
-            "benchmark", "insns(all)", "seq Mi/s", "lock Mi/s", "laneup"
-        );
-        out.push_str(&"-".repeat(62));
-        out.push('\n');
-        for w in &self.workloads {
-            out.push_str(&format!(
-                "{:>10} | {:>12} {:>12.1} {:>12.1} {:>7.2}x\n",
-                w.name,
-                w.instructions,
-                w.sequential.minsn_per_s,
-                w.lockstep.minsn_per_s,
-                w.speedup(),
-            ));
-        }
-        out.push_str(&format!(
-            "{:>10} | {:>12} {:>12.1} {:>12.1} {:>7.2}x\n",
-            "suite",
-            self.workloads.iter().map(|w| w.instructions).sum::<u64>(),
-            self.aggregate_minsn(|w| w.sequential),
-            self.aggregate_minsn(|w| w.lockstep),
-            self.aggregate_speedup(),
-        ));
-        out
-    }
-
-    /// Suite-level Minsn/s for a mode.
-    #[must_use]
-    pub fn aggregate_minsn(&self, mode: impl Fn(&LockstepWorkloadPerf) -> ModePerf) -> f64 {
-        let insns: f64 = self.workloads.iter().map(|w| w.instructions as f64).sum();
-        let secs: f64 = self.workloads.iter().map(|w| mode(w).seconds).sum();
-        insns / secs.max(1e-9) / 1e6
-    }
-
-    /// Suite-level lockstep speedup over sequential (total seconds over
-    /// total seconds) — the number the `SIMPERF_LANES_FLOOR` CI gate
-    /// watches.
-    #[must_use]
-    pub fn aggregate_speedup(&self) -> f64 {
-        let seq: f64 = self.workloads.iter().map(|w| w.sequential.seconds).sum();
-        let lock: f64 = self.workloads.iter().map(|w| w.lockstep.seconds).sum();
-        seq / lock.max(1e-9)
-    }
-}
-
 /// The whole suite's measurements.
 #[derive(Clone, Debug)]
 pub struct SimPerf {
@@ -271,8 +179,6 @@ pub struct SimPerf {
     pub reps: usize,
     /// Per-workload results in suite order.
     pub workloads: Vec<WorkloadPerf>,
-    /// Lockstep lane-engine measurement over the same suite.
-    pub lockstep: LockstepPerf,
 }
 
 impl SimPerf {
@@ -368,15 +274,10 @@ impl SimPerf {
             let in_range = coverage.iter().all(|f| (0.0..=1.0).contains(f));
             require(in_range && partition, format!("{}: engine_coverage {coverage:?}", w.name));
         }
-        require(!self.lockstep.workloads.is_empty(), "no lockstep workloads".into());
-        for w in &self.lockstep.workloads {
-            require(w.speedup() > 0.0, format!("{}: lockstep speedup {}", w.name, w.speedup()));
-        }
         for (name, speedup) in [
             ("SIMPERF_SPEEDUP_FLOOR", self.aggregate_predecoded_speedup()),
             ("SIMPERF_BLOCK_FLOOR", self.aggregate_block_speedup()),
             ("SIMPERF_TRACE_FLOOR", self.aggregate_trace_speedup()),
-            ("SIMPERF_LANES_FLOOR", self.lockstep.aggregate_speedup()),
         ] {
             if let Some(floor) = gate(name) {
                 require(speedup >= floor, format!("{name}: aggregate {speedup:.2}x < {floor}x"));
@@ -390,12 +291,11 @@ impl SimPerf {
     }
 
     /// Renders the `BENCH_sim.json` document (schema
-    /// `warp-mb/bench-sim/v6`: v5 — the `lockstep` mode block, the
-    /// `below_floor` outlier list, and the per-workload
-    /// `engine_coverage` fractions — plus a `floor_waiver` diagnosis
-    /// string (or `null`) on every `below_floor` entry, so known
-    /// floor-limited workloads carry their explanation instead of
-    /// re-triggering warnings run after run).
+    /// `warp-mb/bench-sim/v7`: the per-workload modes and
+    /// `engine_coverage` fractions, the `below_floor` outlier list with
+    /// a `floor_waiver` diagnosis string (or `null`) on every entry, so
+    /// known floor-limited workloads carry their explanation instead of
+    /// re-triggering warnings run after run, and the suite aggregates).
     #[must_use]
     pub fn to_json(&self) -> String {
         let mode_json = |m: &ModePerf| {
@@ -405,7 +305,7 @@ impl SimPerf {
             )
         };
         let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"warp-mb/bench-sim/v6\",\n");
+        out.push_str("  \"schema\": \"warp-mb/bench-sim/v7\",\n");
         out.push_str(&format!("  \"mode\": \"{}\",\n", if self.smoke { "smoke" } else { "full" }));
         out.push_str(&format!("  \"reps\": {},\n", self.reps));
         out.push_str(&format!("  \"mb_clock_hz\": {},\n", mb_sim::MB_CLOCK_HZ));
@@ -452,31 +352,6 @@ impl SimPerf {
                 .collect::<Vec<_>>()
                 .join(", "),
         ));
-        out.push_str(&format!("  \"lockstep\": {{\"lanes\": {},\n", self.lockstep.lanes));
-        out.push_str("    \"workloads\": [\n");
-        for (i, w) in self.lockstep.workloads.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{\"name\": \"{}\", \"instructions\": {}, \
-                 \"modes\": {{\"lockstep\": {}, \"sequential\": {}}}, \
-                 \"lockstep_speedup_vs_sequential\": {:.3}}}{}\n",
-                w.name,
-                w.instructions,
-                mode_json(&w.lockstep),
-                mode_json(&w.sequential),
-                w.speedup(),
-                if i + 1 == self.lockstep.workloads.len() { "" } else { "," },
-            ));
-        }
-        out.push_str("    ],\n");
-        out.push_str(&format!(
-            "    \"aggregate\": {{\"lockstep_minsn_per_s\": {:.3}, \
-             \"sequential_minsn_per_s\": {:.3}, \
-             \"lockstep_speedup_vs_sequential\": {:.3}}}\n",
-            self.lockstep.aggregate_minsn(|w| w.lockstep),
-            self.lockstep.aggregate_minsn(|w| w.sequential),
-            self.lockstep.aggregate_speedup(),
-        ));
-        out.push_str("  },\n");
         out.push_str(&format!(
             "  \"aggregate\": {{\"trace_minsn_per_s\": {:.3}, \"block_minsn_per_s\": {:.3}, \
              \"predecoded_minsn_per_s\": {:.3}, \
@@ -699,121 +574,11 @@ pub fn measure_workload(workload: &workloads::Workload, reps: usize) -> Workload
     }
 }
 
-/// Measures one workload's lockstep-vs-sequential throughput: one
-/// [`LaneGroup`] executing [`LOCKSTEP_LANES`] seeded instances of the
-/// program against the same builds run one after another on the trace
-/// engine. Both sides assert bit-identical per-lane [`Outcome`]s against
-/// an untimed reference pass (which also verifies the seeded golden
-/// results), so the published speedup compares equal work.
-#[must_use]
-pub fn measure_lockstep(workload: &workloads::Workload, reps: usize) -> LockstepWorkloadPerf {
-    const SEED_BASE: u64 = 0x10C4_57E9;
-    let config = MbConfig::paper_default();
-    let builds: [BuiltWorkload; LOCKSTEP_LANES] = core::array::from_fn(|lane| {
-        workload.build_seeded(MbFeatures::paper_default(), SEED_BASE + lane as u64)
-    });
-
-    let expected: Vec<Outcome> = builds
-        .iter()
-        .map(|b| {
-            let mut sys = b.instantiate(&config);
-            let out = sys.run(MAX_CYCLES).expect("workload runs");
-            assert!(out.exited(), "{}: seeded run must exit", workload.name);
-            b.verify(sys.dmem()).expect("seeded golden results hold");
-            out
-        })
-        .collect();
-    let instructions: u64 = expected.iter().map(|o| o.instructions).sum();
-
-    // Same batching rationale as `time_mode`: amortize timer noise over
-    // a batch of independent runs built and checked off the clock.
-    const TIMED_BATCH: usize = 4;
-    let t_lock = best_of_seconds_with(
-        reps,
-        || {
-            (0..TIMED_BATCH)
-                .map(|_| {
-                    let mut group: LaneGroup<LOCKSTEP_LANES> =
-                        workloads::instantiate_lanes(&builds, &config);
-                    group.prewarm();
-                    group
-                })
-                .collect::<Vec<_>>()
-        },
-        |groups| groups.into_iter().map(|mut g| g.run(MAX_CYCLES)).collect::<Vec<_>>(),
-        |batches| {
-            for results in batches {
-                for (lane, r) in results.iter().enumerate() {
-                    let out = r.as_ref().expect("lane runs");
-                    assert_eq!(
-                        out, &expected[lane],
-                        "{}: lockstep lane {lane} must match its sequential run",
-                        workload.name
-                    );
-                }
-            }
-        },
-    ) / TIMED_BATCH as f64;
-
-    let t_seq = best_of_seconds_with(
-        reps,
-        || {
-            (0..TIMED_BATCH)
-                .map(|_| {
-                    builds
-                        .iter()
-                        .map(|b| {
-                            let mut sys = b.instantiate(&config);
-                            sys.prewarm();
-                            sys
-                        })
-                        .collect::<Vec<_>>()
-                })
-                .collect::<Vec<_>>()
-        },
-        |batch| {
-            batch
-                .into_iter()
-                .map(|systems| {
-                    systems
-                        .into_iter()
-                        .map(|mut sys| sys.run_with_sink(MAX_CYCLES, &mut NullSink).unwrap())
-                        .collect::<Vec<_>>()
-                })
-                .collect::<Vec<_>>()
-        },
-        |batches| {
-            for outcomes in batches {
-                for (lane, out) in outcomes.iter().enumerate() {
-                    assert_eq!(out, &expected[lane], "{}: sequential lane {lane}", workload.name);
-                }
-            }
-        },
-    ) / TIMED_BATCH as f64;
-
-    let lock_seconds = t_lock.max(1e-9);
-    LockstepWorkloadPerf {
-        name: workload.name.into(),
-        instructions,
-        lockstep: ModePerf {
-            seconds: lock_seconds,
-            minsn_per_s: instructions as f64 / lock_seconds / 1e6,
-            engine: LOCKSTEP_ENGINE,
-        },
-        sequential: ModePerf::from_best(t_seq, instructions, Engine::Trace),
-    }
-}
-
 /// Measures the whole paper suite.
 #[must_use]
 pub fn measure_suite(reps: usize, smoke: bool) -> SimPerf {
-    let suite = workloads::paper_suite();
-    let workloads = suite.iter().map(|w| measure_workload(w, reps)).collect();
-    let lockstep = LockstepPerf {
-        lanes: LOCKSTEP_LANES,
-        workloads: suite.iter().map(|w| measure_lockstep(w, reps)).collect(),
-    };
-    SimPerf { smoke, reps, workloads, lockstep }
+    let workloads = workloads::paper_suite().iter().map(|w| measure_workload(w, reps)).collect();
+    SimPerf { smoke, reps, workloads }
 }
 
 #[cfg(test)]
@@ -840,26 +605,13 @@ mod tests {
                 block_fraction: 0.08,
                 trace_fraction: 0.9,
             }],
-            lockstep: LockstepPerf {
-                lanes: LOCKSTEP_LANES,
-                workloads: vec![LockstepWorkloadPerf {
-                    name: "brev".into(),
-                    instructions: 8_000_000,
-                    lockstep: ModePerf {
-                        seconds: 0.05,
-                        minsn_per_s: 8_000_000.0 / 0.05 / 1e6,
-                        engine: LOCKSTEP_ENGINE,
-                    },
-                    sequential: ModePerf::from_best(0.2, 8_000_000, Engine::Trace),
-                }],
-            },
         }
     }
 
     #[test]
     fn json_has_schema_and_balanced_structure() {
         let json = synthetic().to_json();
-        assert!(json.contains("\"schema\": \"warp-mb/bench-sim/v6\""));
+        assert!(json.contains("\"schema\": \"warp-mb/bench-sim/v7\""));
         assert!(json.contains(
             "\"engine_coverage\": {\"step\": 0.0200, \"block\": 0.0800, \"trace\": 0.9000}"
         ));
@@ -873,9 +625,6 @@ mod tests {
         assert!(json.contains("\"engine\": \"reference_decode_per_fetch\""));
         assert!(json.contains("\"trace_minsn_per_s\""));
         assert!(json.contains("\"below_floor\": ["));
-        assert!(json.contains("\"lockstep\": {\"lanes\": 8"));
-        assert!(json.contains("\"engine\": \"lockstep_lanes\""));
-        assert!(json.contains("\"lockstep_speedup_vs_sequential\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert_eq!(json.matches('"').count() % 2, 0, "quotes must pair");
@@ -926,8 +675,6 @@ mod tests {
                     p.workloads[0].block_fraction = 0.12;
                 }),
                 (&[], "engine_coverage [0.02, 0.08, 0.5]", |p| p.workloads[0].trace_fraction = 0.5),
-                (&[], "no lockstep workloads", |p| p.lockstep.workloads.clear()),
-                (&[], "lockstep speedup", |p| p.lockstep.workloads[0].sequential.seconds = 0.0),
                 (&[("SIMPERF_SPEEDUP_FLOOR", 2.0)], "SIMPERF_SPEEDUP_FLOOR", |p| {
                     p.workloads[0].reference.seconds = 0.15;
                 }),
@@ -944,9 +691,6 @@ mod tests {
                     p.workloads[0].name = "matmul".into();
                     p.workloads[0].trace.seconds = 0.045;
                 }),
-                (&[("SIMPERF_LANES_FLOOR", 2.0)], "SIMPERF_LANES_FLOOR", |p| {
-                    p.lockstep.workloads[0].lockstep.seconds = 0.15;
-                }),
             ],
         );
     }
@@ -958,19 +702,6 @@ mod tests {
             assert_eq!(floor_waiver(name), Some(*diagnosis));
         }
         assert_eq!(floor_waiver("matmul"), None);
-    }
-
-    #[test]
-    fn lockstep_speedups_follow_the_seconds() {
-        let p = synthetic();
-        let w = &p.lockstep.workloads[0];
-        assert!((w.speedup() - 4.0).abs() < 1e-9);
-        assert!((p.lockstep.aggregate_speedup() - 4.0).abs() < 1e-9);
-        assert!((p.lockstep.aggregate_minsn(|w| w.lockstep) - 160.0).abs() < 1e-6);
-        assert!((p.lockstep.aggregate_minsn(|w| w.sequential) - 40.0).abs() < 1e-6);
-        let table = p.lockstep.render_table();
-        assert!(table.contains("laneup"));
-        assert!(table.contains("suite"));
     }
 
     #[test]

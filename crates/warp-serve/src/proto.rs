@@ -3,11 +3,12 @@
 //! Every message is one **frame**: a little-endian `u32` payload length
 //! followed by the payload; the payload's first byte is the opcode.
 //! All integers are little-endian; strings are a `u32` length plus
-//! UTF-8 bytes; optional values are a one-byte presence flag. The
-//! format is hand-rolled (the workspace is offline — no serde) and
-//! versioned by [`PROTO_VERSION`], which the `Create` opcode carries so
-//! a server can reject a stale client with a readable error instead of
-//! a decode failure.
+//! UTF-8 bytes; flags and optional values' presence bytes are `0` or
+//! `1`, and any other byte fails the decode, so every payload that
+//! decodes re-encodes to the same bytes. The format is hand-rolled (the
+//! workspace is offline — no serde) and versioned by [`PROTO_VERSION`],
+//! which the `Create` opcode carries so a server can reject a stale
+//! client with a readable error instead of a decode failure.
 //!
 //! The interesting payload is [`Response::Report`]: the *complete*
 //! [`OnlineReport`] — every warp event with its DPM breakdown, circuit
@@ -171,7 +172,11 @@ impl<'a> Reader<'a> {
     }
 
     fn bool(&mut self) -> Result<bool, ServeError> {
-        Ok(self.u8()? != 0)
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(ServeError::Protocol(format!("flag byte {b:#04x} is neither 0 nor 1"))),
+        }
     }
 
     fn str(&mut self) -> Result<String, ServeError> {
@@ -430,7 +435,7 @@ impl Request {
     /// # Errors
     ///
     /// [`ServeError::Protocol`] on a truncated frame, unknown opcode,
-    /// version mismatch, or trailing bytes.
+    /// version mismatch, flag byte other than 0 or 1, or trailing bytes.
     pub fn decode(payload: &[u8]) -> Result<Self, ServeError> {
         let mut r = Reader::new(payload);
         let req = match r.u8()? {
@@ -535,7 +540,7 @@ impl Response {
     /// # Errors
     ///
     /// [`ServeError::Protocol`] on a truncated frame, unknown opcode,
-    /// or trailing bytes.
+    /// flag byte other than 0 or 1, or trailing bytes.
     pub fn decode(payload: &[u8]) -> Result<Self, ServeError> {
         let mut r = Reader::new(payload);
         let resp = match r.u8()? {
@@ -664,9 +669,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn report_round_trips_bit_identically() {
-        let report = OnlineReport {
+    /// A report with one warp event exercising every field, the
+    /// eviction option included.
+    fn sample_report() -> OnlineReport {
+        OnlineReport {
             name: "phased".into(),
             repeats: 2,
             slices: 100,
@@ -724,7 +730,12 @@ mod tests {
                 decay_evictions: 2,
                 instructions: 800_000,
             },
-        };
+        }
+    }
+
+    #[test]
+    fn report_round_trips_bit_identically() {
+        let report = sample_report();
         let decoded = match Response::decode(&Response::Report(report.clone()).encode()).unwrap() {
             Response::Report(r) => r,
             other => panic!("wrong variant: {other:?}"),
@@ -742,19 +753,20 @@ mod tests {
         let mut buf = Request::Run(1).encode();
         buf.push(0);
         assert!(Request::decode(&buf).is_err());
-        // Version mismatch.
-        let mut create = Request::Create {
-            workload: "brev".into(),
-            seed: 0,
-            k: 0,
-            min_count: 1,
-            slice_cycles: 0,
-            repeats: 1,
-            share_cache: false,
+        // Version skew, either way.
+        for version in [0, PROTO_VERSION + 1, 0xEE, u32::MAX] {
+            let mut bytes = create(false).encode();
+            bytes[1..5].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(Request::decode(&bytes), Err(ServeError::Protocol(_))), "{version}");
         }
-        .encode();
-        create[1] = 0xEE;
-        assert!(matches!(Request::decode(&create), Err(ServeError::Protocol(_))));
+        // A flag byte other than 0 or 1.
+        let mut bytes = create(true).encode();
+        *bytes.last_mut().unwrap() = 0x02;
+        assert!(matches!(Request::decode(&bytes), Err(ServeError::Protocol(_))));
+        // A length prefix past the frame cap.
+        let prefix = u32::try_from(MAX_FRAME + 1).unwrap().to_le_bytes();
+        let err = read_frame(&mut std::io::Cursor::new(prefix)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
     #[test]
@@ -772,5 +784,126 @@ mod tests {
             Request::Run(3)
         );
         assert_eq!(read_frame(&mut cursor).unwrap(), None, "clean EOF");
+    }
+
+    /// SplitMix64: the seeded stream the decoder fuzz draws from.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    fn create(share_cache: bool) -> Request {
+        Request::Create {
+            workload: "crc32".into(),
+            seed: 7,
+            k: 2,
+            min_count: 256,
+            slice_cycles: 10_000,
+            repeats: 4,
+            share_cache,
+        }
+    }
+
+    /// One encoded payload of every request and response variant, with
+    /// each flag and option both ways.
+    fn corpus() -> Vec<Vec<u8>> {
+        let mut unevicted = sample_report();
+        unevicted.events[0].evicted = None;
+        unevicted.events[0].cache_hit = false;
+        let status = |time_to_first_warp, done| {
+            Response::Status(SessionSnapshot {
+                cycles: 1,
+                instructions: 2,
+                slices: 3,
+                warps: 4,
+                time_to_first_warp,
+                done,
+            })
+        };
+        let requests = [
+            create(true),
+            create(false),
+            Request::Run(7),
+            Request::Step { id: 7, slices: 3 },
+            Request::Patch { id: 7, addr: 0x44, words: vec![1, 2, 3] },
+            Request::Patch { id: 7, addr: 0, words: Vec::new() },
+            Request::Query(7),
+            Request::Report(7),
+            Request::Fleet,
+            Request::Remove(7),
+        ];
+        let responses = [
+            Response::Created(9),
+            Response::Ok,
+            status(Some(5), true),
+            status(None, false),
+            Response::Report(sample_report()),
+            Response::Report(unevicted),
+            Response::Fleet(FleetStats { created: 11, finished: 7, ..FleetStats::default() }),
+            Response::Error("boom".into()),
+        ];
+        requests.iter().map(Request::encode).chain(responses.iter().map(Response::encode)).collect()
+    }
+
+    /// The decoder contract on arbitrary bytes: no panic (a panic fails
+    /// the test), and whatever decodes re-encodes to exactly `payload`.
+    fn assert_canonical(payload: &[u8]) {
+        if let Ok(req) = Request::decode(payload) {
+            assert_eq!(req.encode(), payload, "{req:?} decoded from non-canonical bytes");
+        }
+        if let Ok(resp) = Response::decode(payload) {
+            assert_eq!(resp.encode(), payload, "{resp:?} decoded from non-canonical bytes");
+        }
+    }
+
+    #[test]
+    fn decoding_is_total_and_canonical() {
+        let mut rng = Rng(0x5EED_0D0C);
+        for payload in corpus() {
+            for end in 0..=payload.len() {
+                assert_canonical(&payload[..end]);
+            }
+            for i in 0..payload.len() {
+                for byte in [payload[i] ^ 0xFF, 2, rng.next() as u8] {
+                    let mut flipped = payload.clone();
+                    flipped[i] = byte;
+                    assert_canonical(&flipped);
+                }
+            }
+            // Inflate every 4-byte window, which covers each string
+            // length and element count wherever it sits.
+            for i in 0..payload.len().saturating_sub(3) {
+                for len in [u32::MAX, MAX_FRAME as u32 + 1, rng.next() as u32] {
+                    let mut inflated = payload.clone();
+                    inflated[i..i + 4].copy_from_slice(&len.to_le_bytes());
+                    assert_canonical(&inflated);
+                }
+            }
+            let mut trailing = payload.clone();
+            trailing.push(rng.next() as u8);
+            assert!(Request::decode(&trailing).is_err() && Response::decode(&trailing).is_err());
+            for _ in 0..64 {
+                let mut mutated = payload.clone();
+                for _ in 0..=rng.below(4) {
+                    let i = rng.below(mutated.len());
+                    mutated[i] = rng.next() as u8;
+                }
+                if rng.below(2) == 0 {
+                    mutated.truncate(rng.below(mutated.len() + 1));
+                }
+                assert_canonical(&mutated);
+            }
+        }
     }
 }

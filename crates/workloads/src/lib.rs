@@ -375,37 +375,6 @@ pub fn by_name(name: &str) -> Option<Workload> {
     all().into_iter().find(|w| w.name == name)
 }
 
-/// Creates a lockstep [`mb_sim::LaneGroup`] from per-lane builds of the
-/// same workload — typically one [`Workload::build_seeded`] per lane, so
-/// every lane runs the shared program over its own input data.
-///
-/// # Panics
-///
-/// Panics if the builds disagree on program image or features (the lane
-/// engine shares one instruction fetch), or if the program or data do
-/// not fit the configured memories.
-#[must_use]
-pub fn instantiate_lanes<const LANES: usize>(
-    builds: &[BuiltWorkload; LANES],
-    config: &MbConfig,
-) -> mb_sim::LaneGroup<LANES> {
-    let first = &builds[0];
-    for b in &builds[1..] {
-        assert_eq!(b.program.words, first.program.words, "lane programs must be identical");
-        assert_eq!(b.program.base, first.program.base, "lane programs must share a base");
-        assert_eq!(b.features, first.features, "lane features must be identical");
-    }
-    let config = config.clone().with_features(first.features);
-    let mut group = mb_sim::LaneGroup::new(config);
-    group.load_program(&first.program).expect("program fits instruction BRAM");
-    for (lane, b) in builds.iter().enumerate() {
-        for (addr, words) in &b.data {
-            group.load_data(lane, *addr, words).expect("data fits data BRAM");
-        }
-    }
-    group
-}
-
 /// The matrix dimension of the `matmul` benchmark (its inner loop is
 /// invoked once per output element).
 #[must_use]
@@ -519,19 +488,5 @@ mod tests {
         let out = sys.run(50_000_000).unwrap();
         assert!(out.exited());
         built.verify(sys.dmem()).unwrap();
-    }
-
-    #[test]
-    fn instantiate_lanes_loads_per_lane_data() {
-        let w = by_name("crc32").unwrap();
-        let builds: [BuiltWorkload; 2] =
-            core::array::from_fn(|lane| w.build_seeded(MbFeatures::paper_default(), lane as u64));
-        let mut group = instantiate_lanes(&builds, &MbConfig::paper_default());
-        let results = group.run(100_000_000);
-        for (lane, (r, b)) in results.iter().zip(&builds).enumerate() {
-            let out = r.as_ref().unwrap();
-            assert!(out.exited(), "lane {lane} must exit");
-            b.verify(group.dmem(lane)).unwrap_or_else(|e| panic!("lane {lane}: {e}"));
-        }
     }
 }

@@ -2,7 +2,7 @@
 //! engine, the trace sinks, and the streaming aggregates must be
 //! invisible to simulated results.
 //!
-//! Five contracts are locked in here:
+//! Six contracts are locked in here:
 //!
 //! 1. the pre-decoded fetch path produces an instruction-for-instruction
 //!    identical [`Trace`], identical [`ExecStats`], and identical
@@ -21,11 +21,16 @@
 //!    computed from the full trace;
 //! 5. every configuration dispatches the engine it reports via
 //!    [`System::active_engine`] — in particular, caches no longer
-//!    silently downgrade block dispatch to stepping.
+//!    silently downgrade block dispatch to stepping;
+//! 6. the default configuration retires exactly the pinned number of
+//!    instructions on each tier (step, block, trace) of every workload,
+//!    so a trace engine that stops chaining fails here even while it
+//!    still reports [`Engine::Trace`].
 
 use mb_isa::{encode, Assembler, Insn, MbFeatures, MemSize, Reg};
 use mb_sim::cache::CacheConfig;
 use mb_sim::{Engine, MbConfig, NullSink, System, Trace, TraceSummary, EXIT_PORT_BASE};
+use workloads::BuiltWorkload;
 
 /// Trace engine on (the default configuration).
 fn fast_config() -> MbConfig {
@@ -68,25 +73,67 @@ fn every_config_reports_the_engine_it_dispatches() {
     assert_eq!(System::new(cached_config(block_config())).active_engine(), Engine::Block);
 }
 
+/// Every registry workload built on its default inputs and on one seeded
+/// input set, so the engines are also compared on other data.
+fn default_and_seeded_builds() -> Vec<BuiltWorkload> {
+    let features = MbFeatures::paper_default();
+    workloads::all()
+        .iter()
+        .flat_map(|w| [w.build(features), w.build_seeded(features, 0xD1FF)])
+        .collect()
+}
+
+/// `(workload, step, block, trace)`: the instructions each tier retires
+/// in one default-configuration `run` of every registry workload, no
+/// prewarm — the run `simperf`'s `engine_coverage` fractions come from.
+const ENGINE_TIERS: &[(&str, u64, u64, u64)] = &[
+    ("brev", 6, 97, 78_824),
+    ("g3fax", 6, 68, 29_942),
+    ("canrdr", 6, 72, 53_612),
+    ("bitmnp", 6, 80, 46_436),
+    ("idct", 6, 26_440, 4_656),
+    ("matmul", 6, 10_143, 60_386),
+    ("fir", 6, 85, 22_584),
+    ("crc32", 6, 20, 15_984),
+    ("phased", 3, 967, 40_776),
+];
+
+#[test]
+fn every_workload_retires_the_pinned_count_on_each_engine_tier() {
+    let suite = workloads::all();
+    let names: Vec<&str> = suite.iter().map(|w| w.name).collect();
+    let pinned: Vec<&str> = ENGINE_TIERS.iter().map(|t| t.0).collect();
+    assert_eq!(names, pinned, "one pinned row per registry workload");
+    for (workload, &(name, step, block, trace)) in suite.iter().zip(ENGINE_TIERS) {
+        let mut sys = workload.build(MbFeatures::paper_default()).instantiate(&fast_config());
+        assert_eq!(sys.active_engine(), Engine::Trace);
+        assert!(sys.run(500_000_000).unwrap().exited(), "{name} must exit");
+        let stats = sys.stats();
+        assert_eq!(
+            (stats.step_instructions(), stats.block_instructions(), stats.trace_instructions()),
+            (step, block, trace),
+            "{name}: (step, block, trace) retired instructions"
+        );
+    }
+}
+
 #[test]
 fn predecoded_fetch_matches_decode_per_fetch_reference() {
-    for workload in workloads::all() {
-        let built = workload.build(MbFeatures::paper_default());
-
+    for built in default_and_seeded_builds() {
         let mut fast = built.instantiate(&fast_config());
         let (fast_out, fast_trace) = fast.run_traced(500_000_000).unwrap();
 
         let mut reference = built.instantiate(&reference_config());
         let (ref_out, ref_trace) = reference.run_traced(500_000_000).unwrap();
 
-        assert_eq!(fast_out, ref_out, "{}: outcome must be identical", workload.name);
+        assert_eq!(fast_out, ref_out, "{}: outcome must be identical", built.name);
         assert_eq!(
             fast_trace, ref_trace,
             "{}: traces must match instruction-for-instruction",
-            workload.name
+            built.name
         );
-        assert_eq!(fast.stats(), reference.stats(), "{}: ExecStats must match", workload.name);
-        assert_eq!(fast.cpu(), reference.cpu(), "{}: final CPU state must match", workload.name);
+        assert_eq!(fast.stats(), reference.stats(), "{}: ExecStats must match", built.name);
+        assert_eq!(fast.cpu(), reference.cpu(), "{}: final CPU state must match", built.name);
     }
 }
 
@@ -201,9 +248,7 @@ fn faulting_block_preserves_step_engine_prefix_state() {
 
 #[test]
 fn trace_block_and_step_engines_match_on_all_workloads() {
-    for workload in workloads::all() {
-        let built = workload.build(MbFeatures::paper_default());
-
+    for built in default_and_seeded_builds() {
         let mut traces = built.instantiate(&fast_config());
         assert_eq!(traces.active_engine(), Engine::Trace);
         let (out_t, trace_t) = traces.run_traced(500_000_000).unwrap();
@@ -216,28 +261,23 @@ fn trace_block_and_step_engines_match_on_all_workloads() {
         assert_eq!(stepped.active_engine(), Engine::Step);
         let (out_s, trace_s) = stepped.run_traced(500_000_000).unwrap();
 
-        assert_eq!(out_b, out_s, "{}: outcome must be identical", workload.name);
-        assert_eq!(out_t, out_s, "{}: trace-engine outcome must be identical", workload.name);
+        assert_eq!(out_b, out_s, "{}: outcome must be identical", built.name);
+        assert_eq!(out_t, out_s, "{}: trace-engine outcome must be identical", built.name);
         assert_eq!(
             trace_b, trace_s,
             "{}: block retirement must synthesize the identical event stream",
-            workload.name
+            built.name
         );
         assert_eq!(
             trace_t, trace_s,
             "{}: loop-trace retirement (guard side exits included) must \
              synthesize the identical event stream",
-            workload.name
+            built.name
         );
-        assert_eq!(blocks.stats(), stepped.stats(), "{}: ExecStats must match", workload.name);
-        assert_eq!(
-            traces.stats(),
-            stepped.stats(),
-            "{}: trace ExecStats must match",
-            workload.name
-        );
-        assert_eq!(blocks.cpu(), stepped.cpu(), "{}: final CPU state must match", workload.name);
-        assert_eq!(traces.cpu(), stepped.cpu(), "{}: trace CPU state must match", workload.name);
+        assert_eq!(blocks.stats(), stepped.stats(), "{}: ExecStats must match", built.name);
+        assert_eq!(traces.stats(), stepped.stats(), "{}: trace ExecStats must match", built.name);
+        assert_eq!(blocks.cpu(), stepped.cpu(), "{}: final CPU state must match", built.name);
+        assert_eq!(traces.cpu(), stepped.cpu(), "{}: trace CPU state must match", built.name);
         built.verify(blocks.dmem()).unwrap();
         built.verify(traces.dmem()).unwrap();
     }
