@@ -1,7 +1,6 @@
-//! Set-associative cache model with LRU replacement.
-//!
-//! Used for the MicroBlaze's optional instruction/data caches and reused
-//! by the ARM hard-core baseline models in `arm-sim`.
+//! Set-associative cache model with LRU replacement: the instruction
+//! and data caches of the ARM hard-core baseline models. The paper's
+//! MicroBlaze runs from local BRAM and has none.
 
 /// Geometry and miss cost of a cache.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -17,13 +16,6 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
-    /// A small embedded-class cache: 8 KiB, 16-byte lines, 2-way,
-    /// 10-cycle miss penalty.
-    #[must_use]
-    pub fn small() -> Self {
-        CacheConfig { size_bytes: 8 * 1024, line_bytes: 16, ways: 2, miss_penalty: 10 }
-    }
-
     /// Number of sets implied by the geometry.
     #[must_use]
     pub fn sets(&self) -> u32 {
@@ -91,12 +83,6 @@ impl Cache {
         }
     }
 
-    /// The cache geometry.
-    #[must_use]
-    pub fn config(&self) -> CacheConfig {
-        self.config
-    }
-
     /// Accumulated hit/miss statistics.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
@@ -129,15 +115,6 @@ impl Cache {
             .expect("cache has at least one way");
         self.lines[victim] = CacheLine { tag, valid: true, lru: self.tick };
         self.config.miss_penalty
-    }
-
-    /// Invalidates every line and clears statistics.
-    pub fn reset(&mut self) {
-        for l in &mut self.lines {
-            l.valid = false;
-        }
-        self.stats = CacheStats::default();
-        self.tick = 0;
     }
 }
 
@@ -190,15 +167,6 @@ mod tests {
         c.access(0x20); // C evicts B
         assert_eq!(c.access(0x00), 0, "A must still be resident");
         assert_eq!(c.access(0x10), 1, "B was evicted");
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut c = tiny();
-        c.access(0);
-        c.reset();
-        assert_eq!(c.stats().accesses(), 0);
-        assert_eq!(c.access(0), 7);
     }
 
     #[test]

@@ -39,9 +39,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cache;
+
 use mb_isa::OpClass;
-use mb_sim::cache::{Cache, CacheConfig};
 use mb_sim::Trace;
+
+use crate::cache::{Cache, CacheConfig};
 
 /// Branch handling of a core.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

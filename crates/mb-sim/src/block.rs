@@ -184,9 +184,6 @@ pub(crate) struct Block {
     pub class_insns: [u32; OpClass::ALL.len()],
     /// Per-class cycle deltas.
     pub class_cycles: [u32; OpClass::ALL.len()],
-    /// Per-instruction static cycle costs in order (feeds the batched
-    /// per-PC tables in [`crate::TraceSummary`]).
-    pub insn_cycles: Vec<u32>,
     /// The backward branch this block was chained across, if any. The
     /// guard instruction sits at `head + 4 * ops.len()`.
     pub guard: Option<Guard>,
@@ -464,7 +461,6 @@ fn lower(head: u32, raw: &[Predecoded], guard_slot: Option<(Predecoded, u32)>) -
     let guard = guard_slot.and_then(|(d, pc)| chain_guard(&d, pc, trailing_hi));
 
     let mut ops = Vec::with_capacity(raw.len());
-    let mut insn_cycles = Vec::with_capacity(raw.len());
     let mut cycles = 0u64;
     let mut class_insns = [0u32; OpClass::ALL.len()];
     let mut class_cycles = [0u32; OpClass::ALL.len()];
@@ -548,11 +544,10 @@ fn lower(head: u32, raw: &[Predecoded], guard_slot: Option<(Predecoded, u32)>) -
         cycles += u64::from(d.lat_not_taken);
         class_insns[d.class.index()] += 1;
         class_cycles[d.class.index()] += d.lat_not_taken;
-        insn_cycles.push(d.lat_not_taken);
         ops.push(BlockOp { effect, insn: d.insn, class: d.class, cycles: d.lat_not_taken });
     }
 
-    Block { head, ops, cycles, class_insns, class_cycles, insn_cycles, guard }
+    Block { head, ops, cycles, class_insns, class_cycles, guard }
 }
 
 #[cfg(test)]

@@ -2,8 +2,6 @@
 
 use mb_isa::MbFeatures;
 
-use crate::cache::CacheConfig;
-
 /// MicroBlaze clock frequency on the Spartan3 FPGA used in the paper.
 pub const MB_CLOCK_HZ: u64 = 85_000_000;
 
@@ -18,11 +16,6 @@ pub struct MbConfig {
     pub imem_bytes: u32,
     /// Data BRAM size in bytes.
     pub dmem_bytes: u32,
-    /// Optional instruction cache (the paper's system uses local BRAM
-    /// without caches; caches are provided for configurability studies).
-    pub icache: Option<CacheConfig>,
-    /// Optional data cache.
-    pub dcache: Option<CacheConfig>,
     /// Whether fetch uses the pre-decoded instruction store (decode each
     /// imem word once into a side table, invalidated on imem writes).
     /// On by default; disabling it restores the decode-per-fetch
@@ -32,11 +25,8 @@ pub struct MbConfig {
     pub predecode: bool,
     /// Whether the run loop may retire fused straight-line superblocks
     /// in one dispatch instead of stepping instruction by instruction.
-    /// On by default; it takes effect only with `predecode` on. The
-    /// caches-on restriction is lifted: with i/d-caches configured the
-    /// engine no longer silently downgrades to stepping — it retires
-    /// the same fused ops with per-op budget checks and cache waits
-    /// (see `System::active_engine`). Simulated timing, traces, and
+    /// On by default; it takes effect only with `predecode` on (see
+    /// `System::active_engine`). Simulated timing, traces, and
     /// statistics are identical either way — this only changes
     /// host-side speed. `MbConfig::with_blocks(false)` restores the PR 3
     /// per-instruction predecoded loop.
@@ -64,8 +54,6 @@ impl MbConfig {
             clock_hz: MB_CLOCK_HZ,
             imem_bytes: 64 * 1024,
             dmem_bytes: 64 * 1024,
-            icache: None,
-            dcache: None,
             predecode: true,
             blocks: true,
             traces: true,
@@ -103,13 +91,6 @@ impl MbConfig {
         self
     }
 
-    /// Returns a copy with a different clock frequency.
-    #[must_use]
-    pub fn with_clock_hz(mut self, hz: u64) -> Self {
-        self.clock_hz = hz;
-        self
-    }
-
     /// Seconds taken by `cycles` at this configuration's clock.
     #[must_use]
     pub fn seconds(&self, cycles: u64) -> f64 {
@@ -134,7 +115,6 @@ mod tests {
         assert!(c.features.barrel_shifter);
         assert!(c.features.multiplier);
         assert!(!c.features.divider);
-        assert!(c.icache.is_none() && c.dcache.is_none());
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! Models the system of Figure 1 in the DATE 2005 warp-processing paper: a
 //! MicroBlaze-style CPU with Harvard local-memory buses to separate
-//! instruction and data block RAMs, an on-chip peripheral bus (OPB) with
-//! memory-mapped peripherals, and optional instruction/data caches.
+//! instruction and data block RAMs, and an on-chip peripheral bus (OPB)
+//! with memory-mapped peripherals. Like the paper's system it has no
+//! caches.
 //!
 //! Timing follows the paper's 3-stage pipeline description: one-cycle ALU
 //! operations, three-cycle multiplies, two-cycle loads/stores, and branch
@@ -40,7 +41,6 @@
 #![warn(missing_docs)]
 
 mod block;
-pub mod cache;
 mod config;
 mod cpu;
 mod image;
@@ -59,7 +59,7 @@ pub use image::ProgramImage;
 pub use machine::{Engine, Outcome, RunError, StopReason, System};
 pub use mem::{Bram, MemError};
 pub use periph::{BusResponse, ExitPort, Peripheral, EXIT_PORT_BASE, OPB_BASE};
-pub use sink::{BlockRetire, NullSink, TraceSink, TraceSummary};
+pub use sink::{BlockRetire, NullSink, TraceSink};
 pub use stats::ExecStats;
 pub use timing::{branch_latency, insn_latency};
-pub use trace::{PcAggregates, Trace, TraceEvent};
+pub use trace::{Trace, TraceEvent};

@@ -6,11 +6,10 @@ use std::fmt;
 use mb_isa::{decode, DecodeError, Insn, MemSize, Program};
 
 use crate::block::{Block, BlockOp, BlockStore, Effect, Guard};
-use crate::cache::Cache;
 use crate::image::ProgramImage;
 use crate::periph::{OpbBus, Peripheral, EXIT_PORT_BASE, OPB_BASE};
 use crate::predecode::{DecodeCache, Predecoded};
-use crate::sink::{BlockRetire, NullSink, TraceSink, TraceSummary};
+use crate::sink::{BlockRetire, NullSink, TraceSink};
 use crate::trace::{Trace, TraceEvent};
 use crate::{Bram, Cpu, ExecStats, ExitPort, MbConfig, MemError};
 
@@ -195,8 +194,6 @@ pub struct System {
     imem: Bram,
     dmem: Bram,
     opb: OpbBus,
-    icache: Option<Cache>,
-    dcache: Option<Cache>,
     stats: ExecStats,
     halted: Option<u32>,
     /// Pre-decoded instruction store (see [`MbConfig::predecode`]).
@@ -225,8 +222,6 @@ impl System {
             imem: Bram::new(config.imem_bytes).with_write_log(),
             dmem: Bram::new(config.dmem_bytes),
             opb,
-            icache: config.icache.map(Cache::new),
-            dcache: config.dcache.map(Cache::new),
             stats: ExecStats::new(),
             halted: None,
             decode: DecodeCache::new(),
@@ -244,10 +239,8 @@ impl System {
     }
 
     /// The execution engine this configuration actually dispatches
-    /// through. This is a pure function of [`MbConfig`] — there is no
-    /// hidden downgrade path: with caches configured, block and trace
-    /// dispatch switch to per-op accounting (cache waits become per-op
-    /// guard checks) instead of silently falling back to stepping.
+    /// through: a pure function of [`MbConfig`], with no hidden
+    /// downgrade path.
     #[must_use]
     pub fn active_engine(&self) -> Engine {
         if !self.config.predecode {
@@ -306,11 +299,6 @@ impl System {
         &self.dmem
     }
 
-    /// Mutable data BRAM.
-    pub fn dmem_mut(&mut self) -> &mut Bram {
-        &mut self.dmem
-    }
-
     /// The instruction BRAM (the DPM reads and patches it through the
     /// dual-ported interface).
     #[must_use]
@@ -337,20 +325,17 @@ impl System {
     }
 
     #[inline]
-    fn fetch(&mut self, pc: u32) -> Result<(Predecoded, u32), RunError> {
-        let prepared = if self.config.predecode {
-            self.decode.fetch(&self.imem, &self.config.features, pc)?
-        } else {
-            // Decode-per-fetch reference path (the seed behavior), kept
-            // for the fast-path equivalence tests and `simperf` baseline:
-            // every fetch re-reads the word, re-decodes it, and
-            // re-derives the per-instruction properties.
-            let word = self.imem.read_word(pc).map_err(|err| RunError::Mem { pc, err })?;
-            let insn = decode(word).map_err(|err| RunError::Decode { pc, err })?;
-            Predecoded::prepare(insn, &self.config.features)
-        };
-        let wait = self.icache.as_mut().map_or(0, |c| c.access(pc));
-        Ok((prepared, wait))
+    fn fetch(&mut self, pc: u32) -> Result<Predecoded, RunError> {
+        if self.config.predecode {
+            return self.decode.fetch(&self.imem, &self.config.features, pc);
+        }
+        // Decode-per-fetch reference path (the seed behavior), kept for
+        // the fast-path equivalence tests and `simperf` baseline: every
+        // fetch re-reads the word, re-decodes it, and re-derives the
+        // per-instruction properties.
+        let word = self.imem.read_word(pc).map_err(|err| RunError::Mem { pc, err })?;
+        let insn = decode(word).map_err(|err| RunError::Decode { pc, err })?;
+        Ok(Predecoded::prepare(insn, &self.config.features))
     }
 
     fn data_load(&mut self, pc: u32, addr: u32, size: MemSize) -> Result<(u32, u32), RunError> {
@@ -362,8 +347,7 @@ impl System {
             Ok((r.value, r.wait))
         } else {
             let value = self.dmem.read(addr, size).map_err(|err| RunError::Mem { pc, err })?;
-            let wait = self.dcache.as_mut().map_or(0, |c| c.access(addr));
-            Ok((value, wait))
+            Ok((value, 0))
         }
     }
 
@@ -381,12 +365,12 @@ impl System {
             Ok(m.dev.write(off, value, &mut self.dmem))
         } else {
             self.dmem.write(addr, value, size).map_err(|err| RunError::Mem { pc, err })?;
-            Ok(self.dcache.as_mut().map_or(0, |c| c.access(addr)))
+            Ok(0)
         }
     }
 
     /// Executes one prepared instruction (no delay-slot handling) over
-    /// this system's CPU, dmem, dcache, and OPB: the one implementation
+    /// this system's CPU, dmem, and OPB: the one implementation
     /// of MicroBlaze instruction semantics, which the block engine's
     /// lowered effects ([`exec_alu`](System::exec_alu),
     /// [`exec_mem`](System::exec_mem)) mirror.
@@ -670,8 +654,8 @@ impl System {
     /// cycles consumed.
     ///
     /// The sink is a compile-time policy: [`NullSink`] makes this an
-    /// untraced step with zero tracing cost, [`Trace`] records the full
-    /// event stream, [`TraceSummary`] streams aggregates.
+    /// untraced step with zero tracing cost, and [`Trace`] records the
+    /// full event stream.
     ///
     /// # Errors
     ///
@@ -680,9 +664,8 @@ impl System {
     /// delay slot).
     pub fn step<S: TraceSink>(&mut self, sink: &mut S) -> Result<u32, RunError> {
         let pc = self.cpu.pc();
-        let (d, fetch_wait) = self.fetch(pc)?;
-        let mut exec = self.execute(pc, &d)?;
-        exec.cycles += fetch_wait;
+        let d = self.fetch(pc)?;
+        let exec = self.execute(pc, &d)?;
         self.record(pc, &d, &exec, sink);
         let mut total = exec.cycles;
         // Peripherals only change state when accessed, so the exit port
@@ -694,12 +677,11 @@ impl System {
             Next::Jump(t) => self.cpu.set_pc(t),
             Next::JumpAfterDelay(t) => {
                 let dpc = pc.wrapping_add(4);
-                let (dd, dwait) = self.fetch(dpc)?;
+                let dd = self.fetch(dpc)?;
                 if dd.control_flow {
                     return Err(RunError::BranchInDelaySlot { pc: dpc });
                 }
-                let mut dexec = self.execute(dpc, &dd)?;
-                dexec.cycles += dwait;
+                let dexec = self.execute(dpc, &dd)?;
                 self.record(dpc, &dd, &dexec, sink);
                 total += dexec.cycles;
                 touched_opb |= dexec.ea.is_some_and(|a| a >= OPB_BASE);
@@ -716,10 +698,7 @@ impl System {
 
     /// Whether this configuration dispatches fused superblocks: the
     /// block engine rides on the predecoded store, so predecode must be
-    /// on. Caches no longer disable it — with caches configured the
-    /// dispatch loop switches to op-at-a-time *careful* retirement
-    /// ([`System::exec_block_careful`]), which charges state-dependent
-    /// waits per op instead of silently downgrading to stepping.
+    /// on.
     fn blocks_enabled(&self) -> bool {
         self.config.blocks && self.config.predecode
     }
@@ -910,27 +889,21 @@ impl System {
 
     /// Retires a chained guard branch exactly as the step engine would
     /// have: evaluate the condition, write the link register, charge the
-    /// taken/not-taken latency plus `fetch_wait`, emit the trace event,
-    /// and move the PC to the target or the fall-through.
+    /// taken/not-taken latency, emit the trace event, and move the PC to
+    /// the target or the fall-through.
     ///
     /// Statistics are the caller's job: the trace loop batches guard
     /// retirements into one [`ExecStats::record_guards`] update per
-    /// dispatch, while the careful path records each one as it goes.
+    /// dispatch.
     ///
     /// Returns `(taken, cycles)`.
     #[inline]
-    fn retire_guard<S: TraceSink>(
-        &mut self,
-        g: &Guard,
-        pc: u32,
-        fetch_wait: u32,
-        sink: &mut S,
-    ) -> (bool, u32) {
+    fn retire_guard<S: TraceSink>(&mut self, g: &Guard, pc: u32, sink: &mut S) -> (bool, u32) {
         let taken = g.cond.is_none_or(|(cond, ra)| cond.eval(self.cpu.reg(ra)));
         if let Some(rd) = g.link {
             self.cpu.set_reg(rd, pc);
         }
-        let cycles = if taken { g.lat_taken } else { g.lat_not_taken } + fetch_wait;
+        let cycles = if taken { g.lat_taken } else { g.lat_not_taken };
         sink.record(&TraceEvent {
             pc,
             insn: g.insn,
@@ -995,8 +968,8 @@ impl System {
         // iteration retires the same per-class deltas, and u64 sums are
         // order-independent, so the totals stay bit-identical): the
         // per-iteration cost of the O(classes) array update would rival
-        // a two-op loop body. Sink retirements stay per-iteration —
-        // profiler heat and trace summaries observe each one.
+        // a two-op loop body. Sink retirements stay per-iteration: the
+        // profiler's heat observes each one.
         let mut iters = 0u64;
         let mut guards = 0u64;
         let mut guards_taken = 0u64;
@@ -1071,14 +1044,7 @@ impl System {
 
             debug_assert_eq!(body, b.cycles, "static block cost must match actual retirement");
             iters += 1;
-            sink.retire_block(&BlockRetire {
-                head: b.head,
-                instructions: b.ops.len() as u32,
-                cycles: b.cycles,
-                class_insns: &b.class_insns,
-                insn_cycles: &b.insn_cycles,
-                events: &events,
-            });
+            sink.retire_block(&BlockRetire { instructions: b.ops.len() as u32, events: &events });
             total += body;
 
             // The PC only needs storing on paths that leave the loop:
@@ -1098,7 +1064,7 @@ impl System {
                 }
                 break 'iterate;
             }
-            let (taken, gcycles) = self.retire_guard(g, pc, 0, sink);
+            let (taken, gcycles) = self.retire_guard(g, pc, sink);
             guards += 1;
             guards_taken += u64::from(taken);
             guard_cycles += u64::from(gcycles);
@@ -1147,98 +1113,6 @@ impl System {
         self.stats.attribute_trace(iters.saturating_sub(1) * body + guards.saturating_sub(1));
     }
 
-    /// Retires a fused block op-at-a-time — the dispatch mode for
-    /// configurations with caches, whose waits are state-dependent.
-    ///
-    /// This replaces the old silent downgrade to per-instruction
-    /// stepping: the lowered ops still skip per-word refetch and
-    /// redecode, but every op pays its icache fetch wait (ops map 1:1
-    /// onto architectural words, so the access sequence is the step
-    /// engine's), checks the remaining budget at the same boundaries the
-    /// step engine would, and records statistics and events
-    /// individually. A chained guard retires the same way when the
-    /// budget still has room. Never sets the dispatch loop's stepping
-    /// tail — a mid-block budget expiry returns at the exact
-    /// architectural boundary directly.
-    fn exec_block_careful<S: TraceSink>(
-        &mut self,
-        b: &Block,
-        budget: u64,
-        sink: &mut S,
-    ) -> Result<u64, RunError> {
-        debug_assert!(!self.cpu.has_imm_prefix(), "blocks are lowered for prefix-free entry");
-        let mut total = 0u64;
-        let mut pc = b.head;
-
-        for (i, op) in b.ops.iter().enumerate() {
-            if total >= budget {
-                // The step engine stops at this very boundary — and if
-                // the op just retired was a fused `imm`, it would still
-                // hold the architectural prefix here.
-                if let Some(prev) = i.checked_sub(1).map(|p| &b.ops[p]) {
-                    if let Effect::ImmFused { hi } = prev.effect {
-                        self.cpu.set_imm_prefix(hi);
-                    }
-                }
-                self.cpu.set_pc(pc);
-                return Ok(total);
-            }
-            let fetch_wait = self.icache.as_mut().map_or(0, |c| c.access(pc));
-            match self.exec_effect(pc, op) {
-                Err(err) => {
-                    if matches!(op.effect, Effect::Load { .. } | Effect::Store { .. }) {
-                        if let Some(prev) = i.checked_sub(1).map(|p| &b.ops[p]) {
-                            if let Effect::ImmFused { hi } = prev.effect {
-                                self.cpu.set_imm_prefix(hi);
-                            }
-                        }
-                    }
-                    self.cpu.set_pc(pc);
-                    return Err(err);
-                }
-                Ok((cycles, ea)) => {
-                    let cycles = cycles + fetch_wait;
-                    total += u64::from(cycles);
-                    self.stats.record(op.class, cycles);
-                    self.stats.attribute_block(1);
-                    sink.record(&TraceEvent {
-                        pc,
-                        insn: op.insn,
-                        cycles,
-                        taken: None,
-                        target: None,
-                        ea,
-                    });
-                    pc = pc.wrapping_add(4);
-                    if ea.is_some_and(|a| a >= OPB_BASE) {
-                        self.cpu.set_pc(pc);
-                        self.blocks.learn_opb(pc.wrapping_sub(4));
-                        if self.halted.is_none() {
-                            self.halted = self.opb.exit_request();
-                        }
-                        return Ok(total);
-                    }
-                }
-            }
-        }
-
-        self.cpu.set_pc(pc);
-        if let Some(g) = &b.guard {
-            if total < budget {
-                let fetch_wait = self.icache.as_mut().map_or(0, |c| c.access(pc));
-                let (taken, gcycles) = self.retire_guard(g, pc, fetch_wait, sink);
-                self.stats.record_guards(g.class, u64::from(gcycles), 1, u64::from(taken));
-                self.stats.attribute_block(1);
-                total += u64::from(gcycles);
-            } else if let Some(Effect::ImmFused { hi }) = b.ops.last().map(|o| o.effect) {
-                // Stopping just before the guard: a trailing fused
-                // `imm`'s prefix is still architecturally pending.
-                self.cpu.set_imm_prefix(hi);
-            }
-        }
-        Ok(total)
-    }
-
     /// The one budget-tracking loop behind [`System::run_with_sink`] and
     /// [`System::run_slice`].
     ///
@@ -1260,12 +1134,6 @@ impl System {
     /// which both honors the exact boundary and avoids building suffix
     /// blocks at every slice-dependent split point.
     ///
-    /// With caches configured the static precomputed cost is a lower
-    /// bound, not the truth, so dispatch goes through
-    /// [`System::exec_block_careful`]: per-op budget checks and cache
-    /// waits, no fit precheck, no stepping tail — but never a silent
-    /// downgrade to [`System::step`] (see [`System::active_engine`]).
-    ///
     /// Ordering contract: the exit check runs **before** the budget
     /// check. The exit port is polled after OPB-touching retirements
     /// (inside [`System::step`], and at the OPB early-out of the block
@@ -1282,7 +1150,6 @@ impl System {
         let start_insns = self.stats.instructions();
         let mut cycles = 0u64;
         let use_blocks = self.blocks_enabled();
-        let careful = use_blocks && (self.icache.is_some() || self.dcache.is_some());
         let mut stepping_tail = false;
         loop {
             if let Some(code) = self.halted {
@@ -1302,10 +1169,6 @@ impl System {
             if use_blocks && !stepping_tail && !self.cpu.has_imm_prefix() {
                 if let Some(block) = self.block_at(self.cpu.pc()) {
                     let remaining = max_cycles - cycles;
-                    if careful {
-                        cycles += self.exec_block_careful(&block, remaining, sink)?;
-                        continue;
-                    }
                     if block.cycles <= remaining {
                         cycles += self.exec_block(&block, remaining, sink)?;
                         continue;
@@ -1385,7 +1248,7 @@ impl System {
     /// instruction-memory write detaches private copies (copy-on-patch),
     /// so hot-patching works exactly as with owned stores.
     ///
-    /// Run state (registers, data memory, caches, stats, peripherals) is
+    /// Run state (registers, data memory, stats, peripherals) is
     /// untouched — pair with [`System::reset_run_state`] when rerunning
     /// a used system. The image must come from a system with this
     /// system's configuration; debug builds assert the memory geometry
@@ -1403,7 +1266,7 @@ impl System {
     }
 
     /// Resets everything a finished run dirtied — CPU registers, data
-    /// memory, caches, statistics, the exit latch and other peripheral
+    /// memory, statistics, the exit latch and other peripheral
     /// state — without touching instruction memory or the derived
     /// stores, and points the PC at `entry_pc`.
     ///
@@ -1419,12 +1282,6 @@ impl System {
         self.halted = None;
         self.stats = ExecStats::new();
         self.opb.reset_all();
-        if let Some(c) = &mut self.icache {
-            c.reset();
-        }
-        if let Some(c) = &mut self.dcache {
-            c.reset();
-        }
     }
 
     /// Runs until the program exits or `max_cycles` elapse, feeding
@@ -1496,18 +1353,6 @@ impl System {
         let mut trace = Trace::new();
         let outcome = self.run_with_sink(max_cycles, &mut trace)?;
         Ok((outcome, trace))
-    }
-
-    /// Runs like [`System::run`] while streaming per-PC/class aggregates
-    /// into a [`TraceSummary`], never materializing the event vector.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`RunError`] from [`System::step`].
-    pub fn run_summarized(&mut self, max_cycles: u64) -> Result<(Outcome, TraceSummary), RunError> {
-        let mut summary = TraceSummary::new();
-        let outcome = self.run_with_sink(max_cycles, &mut summary)?;
-        Ok((outcome, summary))
     }
 }
 

@@ -1,4 +1,4 @@
-//! Zero-cost trace sinks.
+//! Trace sinks.
 //!
 //! [`System::step`](crate::System::step) and the run loops are generic
 //! over a [`TraceSink`], so the tracing policy is chosen at compile time
@@ -7,46 +7,31 @@
 //! * [`NullSink`] — records nothing; the sink call compiles away and an
 //!   untraced run pays zero tracing cost;
 //! * [`Trace`] — records every event; byte-for-byte the historical
-//!   full-trace behavior;
-//! * [`TraceSummary`] — streams each event into per-PC aggregate tables
-//!   without ever materializing the event vector, for consumers that
-//!   only need region/class aggregates (the decompilation-driven
-//!   partitioning flow needs region totals, not raw events).
+//!   full-trace behavior.
+//!
+//! The warp profiler (`warp_profiler::Profiler`) is the third sink: it
+//! sits on the retirement stream of every online session.
 //!
 //! Any `&mut` sink is itself a sink, so a sink can be threaded through
 //! helper code without moving it.
 
-use mb_isa::OpClass;
-
-use crate::trace::{PcAggregates, Trace, TraceEvent};
+use crate::trace::{Trace, TraceEvent};
 
 /// One fully-retired straight-line block, as delivered to
 /// [`TraceSink::retire_block`].
 ///
-/// A block contains no control flow (branches and their delay slots
-/// always retire through [`System::step`](crate::System::step) and
-/// arrive via [`TraceSink::record`]), so every instruction here is
-/// sequential from [`head`](BlockRetire::head) and none is a taken
-/// branch. The aggregate fields let batched sinks update their tables
-/// without walking events; [`events`](BlockRetire::events) carries the
-/// per-instruction stream only for sinks whose
-/// [`WANTS_EVENTS`](TraceSink::WANTS_EVENTS) is `true` (it is empty
-/// otherwise — the engine skips synthesizing events the sink declared
-/// it will not read).
+/// A block contains no control flow (a chained loop guard retires
+/// after the block, through [`TraceSink::record`]), so none of its
+/// instructions is a taken branch. A sink that only counts reads
+/// [`instructions`](BlockRetire::instructions);
+/// [`events`](BlockRetire::events) carries the per-instruction stream
+/// only for sinks whose [`WANTS_EVENTS`](TraceSink::WANTS_EVENTS) is
+/// `true` (it is empty otherwise — the engine skips synthesizing events
+/// the sink declared it will not read).
 #[derive(Debug)]
 pub struct BlockRetire<'a> {
-    /// PC of the block's first instruction; instruction `i` retired at
-    /// `head + 4 * i`.
-    pub head: u32,
     /// Retired instruction count.
     pub instructions: u32,
-    /// Total cycles consumed by the block.
-    pub cycles: u64,
-    /// Per-class retired-instruction deltas, indexed by
-    /// [`OpClass::index`].
-    pub class_insns: &'a [u32; OpClass::ALL.len()],
-    /// Per-instruction cycle costs, in retirement order.
-    pub insn_cycles: &'a [u32],
     /// The per-instruction events — populated only when the sink's
     /// [`WANTS_EVENTS`](TraceSink::WANTS_EVENTS) is `true`.
     pub events: &'a [TraceEvent],
@@ -126,181 +111,10 @@ impl<S: TraceSink> TraceSink for &mut S {
     }
 }
 
-/// Streaming aggregate sink: per-PC cycle/instruction totals, the
-/// instruction-class histogram, and backward-taken-branch counts,
-/// accumulated online in O(program) memory regardless of trace length.
-///
-/// A summary answers every aggregate query a [`Trace`] can — and
-/// produces identical numbers, which `tests/sim_fast_path.rs` locks in —
-/// without the per-event heap traffic of recording the full trace.
-#[derive(Clone, Default, Debug, PartialEq, Eq)]
-pub struct TraceSummary {
-    /// Cycles retired per word index (`pc >> 2`), grown on demand.
-    cycles_by_pc: Vec<u64>,
-    /// Instructions retired per word index.
-    insns_by_pc: Vec<u64>,
-    /// Taken backward branches per word index (of the branch itself).
-    backward_by_pc: Vec<u64>,
-    class_hist: [u64; OpClass::ALL.len()],
-    instructions: u64,
-    cycles: u64,
-    branches_taken: u64,
-    branches_not_taken: u64,
-    backward_taken: u64,
-}
-
-impl TraceSummary {
-    /// Creates an empty summary.
-    #[must_use]
-    pub fn new() -> Self {
-        TraceSummary::default()
-    }
-
-    /// Builds the summary of an already-recorded trace (for equivalence
-    /// checks; live runs should sink directly into a summary instead).
-    #[must_use]
-    pub fn of_trace(trace: &Trace) -> Self {
-        let mut s = TraceSummary::new();
-        for e in trace {
-            s.record(e);
-        }
-        s
-    }
-
-    fn slot(&mut self, pc: u32) -> usize {
-        let idx = (pc >> 2) as usize;
-        if idx >= self.cycles_by_pc.len() {
-            self.cycles_by_pc.resize(idx + 1, 0);
-            self.insns_by_pc.resize(idx + 1, 0);
-            self.backward_by_pc.resize(idx + 1, 0);
-        }
-        idx
-    }
-
-    /// Total retired instructions.
-    #[must_use]
-    pub fn len(&self) -> u64 {
-        self.instructions
-    }
-
-    /// Whether nothing was recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.instructions == 0
-    }
-
-    /// Total cycles.
-    #[must_use]
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    /// Taken branches observed.
-    #[must_use]
-    pub fn branches_taken(&self) -> u64 {
-        self.branches_taken
-    }
-
-    /// Not-taken branches observed.
-    #[must_use]
-    pub fn branches_not_taken(&self) -> u64 {
-        self.branches_not_taken
-    }
-
-    /// Taken backward branches observed (the profiler's loop events).
-    #[must_use]
-    pub fn backward_taken(&self) -> u64 {
-        self.backward_taken
-    }
-
-    /// Taken backward branches whose branch instruction sits at `pc`.
-    #[must_use]
-    pub fn backward_taken_at(&self, pc: u32) -> u64 {
-        self.backward_by_pc.get((pc >> 2) as usize).copied().unwrap_or(0)
-    }
-
-    /// Instruction-class histogram.
-    #[must_use]
-    pub fn class_histogram(&self) -> [u64; OpClass::ALL.len()] {
-        self.class_hist
-    }
-
-    /// Cycles retired in the half-open PC range `[start, end)`.
-    #[must_use]
-    pub fn cycles_in_range(&self, start: u32, end: u32) -> u64 {
-        Self::range_sum(&self.cycles_by_pc, start, end)
-    }
-
-    /// Instructions retired in the half-open PC range `[start, end)`.
-    #[must_use]
-    pub fn instructions_in_range(&self, start: u32, end: u32) -> u64 {
-        Self::range_sum(&self.insns_by_pc, start, end)
-    }
-
-    fn range_sum(table: &[u64], start: u32, end: u32) -> u64 {
-        let lo = (u64::from(start).div_ceil(4) as usize).min(table.len());
-        let hi = (u64::from(end).div_ceil(4) as usize).min(table.len());
-        table[lo..hi.max(lo)].iter().sum()
-    }
-
-    /// Converts the per-PC tables into the O(1) prefix-sum form shared
-    /// with [`Trace::aggregates`].
-    #[must_use]
-    pub fn aggregates(&self) -> PcAggregates {
-        PcAggregates::from_tables(0, &self.cycles_by_pc, &self.insns_by_pc)
-    }
-}
-
-impl TraceSink for TraceSummary {
-    const WANTS_EVENTS: bool = false;
-
-    /// Batched block retirement: straight-line blocks carry no branch
-    /// events, so the whole update is per-PC adds from the precomputed
-    /// cycle vector plus O(classes) histogram arithmetic — no events
-    /// are synthesized or walked.
-    fn retire_block(&mut self, block: &BlockRetire<'_>) {
-        let n = block.instructions as usize;
-        if n == 0 {
-            return;
-        }
-        let base = self.slot(block.head + 4 * (n as u32 - 1)) + 1 - n;
-        for (i, &c) in block.insn_cycles.iter().enumerate() {
-            self.cycles_by_pc[base + i] += u64::from(c);
-            self.insns_by_pc[base + i] += 1;
-        }
-        for (h, &d) in self.class_hist.iter_mut().zip(block.class_insns) {
-            *h += u64::from(d);
-        }
-        self.instructions += u64::from(block.instructions);
-        self.cycles += block.cycles;
-    }
-
-    #[inline]
-    fn record(&mut self, event: &TraceEvent) {
-        let idx = self.slot(event.pc);
-        self.cycles_by_pc[idx] += u64::from(event.cycles);
-        self.insns_by_pc[idx] += 1;
-        self.class_hist[event.insn.class().index()] += 1;
-        self.instructions += 1;
-        self.cycles += u64::from(event.cycles);
-        match event.taken {
-            Some(true) => {
-                self.branches_taken += 1;
-                if event.target.is_some_and(|t| t <= event.pc) {
-                    self.backward_by_pc[idx] += 1;
-                    self.backward_taken += 1;
-                }
-            }
-            Some(false) => self.branches_not_taken += 1,
-            None => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mb_isa::{Cond, Insn, Reg};
+    use mb_isa::{Insn, Reg};
 
     fn ev(pc: u32, cycles: u32) -> TraceEvent {
         TraceEvent {
@@ -310,55 +124,6 @@ mod tests {
             taken: None,
             target: None,
             ea: None,
-        }
-    }
-
-    fn branch(pc: u32, target: u32, taken: bool) -> TraceEvent {
-        TraceEvent {
-            pc,
-            insn: Insn::Bci { cond: Cond::Ne, ra: Reg::R3, imm: -8, delay: false },
-            cycles: 2,
-            taken: Some(taken),
-            target: taken.then_some(target),
-            ea: None,
-        }
-    }
-
-    #[test]
-    fn summary_matches_full_trace_aggregates() {
-        let mut trace = Trace::new();
-        for e in [ev(0x10, 1), ev(0x14, 2), branch(0x18, 0x10, true), branch(0x18, 0, false)] {
-            trace.push(e);
-        }
-        let summary = TraceSummary::of_trace(&trace);
-        assert_eq!(summary.len(), trace.len() as u64);
-        assert_eq!(summary.cycles(), trace.cycles());
-        assert_eq!(summary.class_histogram(), trace.class_histogram());
-        assert_eq!(summary.cycles_in_range(0x10, 0x18), trace.cycles_in_range(0x10, 0x18));
-        assert_eq!(
-            summary.instructions_in_range(0x14, 0x1C),
-            trace.instructions_in_range(0x14, 0x1C)
-        );
-        assert_eq!(
-            summary.backward_taken(),
-            trace.iter().filter(|e| e.is_backward_taken_branch()).count() as u64
-        );
-        assert_eq!(summary.backward_taken_at(0x18), 1);
-        assert_eq!(summary.backward_taken_at(0x10), 0);
-        assert_eq!(summary.branches_taken(), 1);
-        assert_eq!(summary.branches_not_taken(), 1);
-    }
-
-    #[test]
-    fn aggregates_form_matches_direct_queries() {
-        let mut s = TraceSummary::new();
-        for e in [ev(0x40, 3), ev(0x48, 1), ev(0x40, 3)] {
-            s.record(&e);
-        }
-        let agg = s.aggregates();
-        for (start, end) in [(0, 0x100), (0x40, 0x44), (0x44, 0x4C), (0x48, 0x48)] {
-            assert_eq!(agg.cycles_in_range(start, end), s.cycles_in_range(start, end));
-            assert_eq!(agg.instructions_in_range(start, end), s.instructions_in_range(start, end));
         }
     }
 
@@ -372,39 +137,26 @@ mod tests {
     fn batched_block_retirement_equals_per_event_recording() {
         // Two ALU ops at 0x40/0x44 costing 1 and 3 cycles.
         let events = [ev(0x40, 1), ev(0x44, 3)];
-        let mut class_insns = [0u32; OpClass::ALL.len()];
-        class_insns[OpClass::Alu.index()] = 2;
-        let block = BlockRetire {
-            head: 0x40,
-            instructions: 2,
-            cycles: 4,
-            class_insns: &class_insns,
-            insn_cycles: &[1, 3],
-            events: &[],
-        };
 
-        let mut batched = TraceSummary::new();
-        batched.retire_block(&block);
-        let mut per_event = TraceSummary::new();
+        // The default impl (an events-wanting sink) replays the events.
+        let mut batched = Trace::new();
+        batched.retire_block(&BlockRetire { instructions: 2, events: &events });
+        let mut per_event = Trace::new();
         for e in &events {
             per_event.record(e);
         }
-        assert_eq!(batched, per_event, "batched and per-event summaries must be identical");
-
-        // The default impl (an events-wanting sink) replays the events.
-        let mut trace = Trace::new();
-        trace.retire_block(&BlockRetire { events: &events, ..block });
-        assert_eq!(trace.len(), 2);
-        assert_eq!(trace.cycles(), 4);
+        assert_eq!(batched, per_event, "batched and per-event traces must be identical");
+        assert_eq!(batched.len(), 2);
+        assert_eq!(batched.cycles(), 4);
     }
 
     #[test]
     fn mut_ref_forwards() {
-        let mut s = TraceSummary::new();
+        let mut t = Trace::new();
         {
-            let mut r = &mut s;
+            let mut r = &mut t;
             TraceSink::record(&mut r, &ev(0, 1));
         }
-        assert_eq!(s.len(), 1);
+        assert_eq!(t.len(), 1);
     }
 }

@@ -32,8 +32,8 @@ pub struct ExecStats {
     /// events the warp profiler watches.
     pub backward_taken: u64,
     /// Instructions retired through the superblock tier: the first body
-    /// (and first guard) of each block dispatch, plus careful-mode
-    /// op-at-a-time block retirement. See [`ExecStats::engine_coverage`].
+    /// (and first guard) of each block dispatch. See
+    /// [`ExecStats::engine_coverage`].
     block_instret: u64,
     /// Instructions retired through the megablock trace tier: bodies and
     /// guards chained in place past a dispatch's first iteration.

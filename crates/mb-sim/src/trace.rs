@@ -4,18 +4,8 @@
 //! Debug Engine to obtain an instruction trace, then replayed the trace
 //! through the profiler and hardware models. [`Trace`] is our equivalent:
 //! one [`TraceEvent`] per retired instruction.
-//!
-//! Aggregate queries ([`cycles_in_range`](Trace::cycles_in_range),
-//! [`instructions_in_range`](Trace::instructions_in_range)) are answered
-//! from a [`PcAggregates`] prefix-sum table built once per trace, so
-//! consumers that attribute time to kernel regions pay O(1) per query
-//! instead of a linear pass over the event vector. Consumers that need
-//! only aggregates and never the events should not record a `Trace` at
-//! all — see [`TraceSummary`](crate::TraceSummary).
 
-use std::sync::OnceLock;
-
-use mb_isa::{Insn, OpClass};
+use mb_isa::Insn;
 
 /// One retired instruction.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -43,115 +33,12 @@ impl TraceEvent {
     }
 }
 
-/// Per-PC prefix sums of cycles and retired instructions, answering
-/// half-open PC-range queries in O(1).
-///
-/// Built once from a [`Trace`] (or the per-PC tables of a
-/// [`TraceSummary`](crate::TraceSummary)); the table spans the word
-/// range actually executed, so its size is proportional to the program,
-/// not the trace length.
-#[derive(Clone, Default, Debug)]
-pub struct PcAggregates {
-    /// Word index (`pc >> 2`) of the first covered instruction.
-    base_word: usize,
-    /// `prefix_cycles[i]` = cycles retired at word indices
-    /// `[base_word, base_word + i)`. Length is covered words + 1.
-    prefix_cycles: Vec<u64>,
-    /// Same prefix layout for retired-instruction counts.
-    prefix_insns: Vec<u64>,
-}
-
-impl PcAggregates {
-    /// Builds the table from per-PC totals: `(first word index,
-    /// cycles-per-word, instructions-per-word)`.
-    #[must_use]
-    pub fn from_tables(base_word: usize, cycles: &[u64], insns: &[u64]) -> Self {
-        debug_assert_eq!(cycles.len(), insns.len());
-        let mut prefix_cycles = Vec::with_capacity(cycles.len() + 1);
-        let mut prefix_insns = Vec::with_capacity(insns.len() + 1);
-        let (mut c, mut n) = (0u64, 0u64);
-        prefix_cycles.push(0);
-        prefix_insns.push(0);
-        for i in 0..cycles.len() {
-            c += cycles[i];
-            n += insns[i];
-            prefix_cycles.push(c);
-            prefix_insns.push(n);
-        }
-        PcAggregates { base_word, prefix_cycles, prefix_insns }
-    }
-
-    /// Builds the table from a slice of trace events (one linear pass).
-    #[must_use]
-    pub fn from_events(events: &[TraceEvent]) -> Self {
-        let Some(min) = events.iter().map(|e| e.pc >> 2).min() else {
-            return PcAggregates::default();
-        };
-        let max = events.iter().map(|e| e.pc >> 2).max().expect("non-empty");
-        let words = (max - min + 1) as usize;
-        let mut cycles = vec![0u64; words];
-        let mut insns = vec![0u64; words];
-        for e in events {
-            let i = ((e.pc >> 2) - min) as usize;
-            cycles[i] += u64::from(e.cycles);
-            insns[i] += 1;
-        }
-        PcAggregates::from_tables(min as usize, &cycles, &insns)
-    }
-
-    /// Converts a half-open byte range `[start, end)` into clamped prefix
-    /// indices.
-    fn clamp(&self, start: u32, end: u32) -> (usize, usize) {
-        let words = self.prefix_cycles.len() - 1;
-        // An instruction at word w (pc = 4w) lies in [start, end) iff
-        // w >= ceil(start/4) and w < ceil(end/4).
-        let lo = u64::from(start).div_ceil(4) as usize;
-        let hi = u64::from(end).div_ceil(4) as usize;
-        let lo = lo.saturating_sub(self.base_word).min(words);
-        let hi = hi.saturating_sub(self.base_word).min(words);
-        (lo, hi.max(lo))
-    }
-
-    /// Cycles retired in the half-open PC range `[start, end)`.
-    #[must_use]
-    pub fn cycles_in_range(&self, start: u32, end: u32) -> u64 {
-        if self.prefix_cycles.len() <= 1 {
-            return 0;
-        }
-        let (lo, hi) = self.clamp(start, end);
-        self.prefix_cycles[hi] - self.prefix_cycles[lo]
-    }
-
-    /// Instructions retired in the half-open PC range `[start, end)`.
-    #[must_use]
-    pub fn instructions_in_range(&self, start: u32, end: u32) -> u64 {
-        if self.prefix_insns.len() <= 1 {
-            return 0;
-        }
-        let (lo, hi) = self.clamp(start, end);
-        self.prefix_insns[hi] - self.prefix_insns[lo]
-    }
-}
-
 /// A complete execution trace.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Trace {
     events: Vec<TraceEvent>,
     total_cycles: u64,
-    /// Prefix-sum table, built lazily on the first range query and
-    /// discarded whenever the trace grows.
-    aggregates: OnceLock<PcAggregates>,
 }
-
-/// Equality compares the recorded events; the cycle total and the
-/// aggregate table are derived.
-impl PartialEq for Trace {
-    fn eq(&self, other: &Self) -> bool {
-        self.events == other.events
-    }
-}
-
-impl Eq for Trace {}
 
 impl Trace {
     /// Creates an empty trace.
@@ -163,7 +50,6 @@ impl Trace {
     /// Appends an event.
     pub fn push(&mut self, event: TraceEvent) {
         self.total_cycles += u64::from(event.cycles);
-        self.aggregates.take();
         self.events.push(event);
     }
 
@@ -196,33 +82,21 @@ impl Trace {
         self.total_cycles
     }
 
-    /// The per-PC prefix-sum table for this trace, built on first use.
-    pub fn aggregates(&self) -> &PcAggregates {
-        self.aggregates.get_or_init(|| PcAggregates::from_events(&self.events))
-    }
-
     /// Cycles spent in the half-open PC range `[start, end)` — used to
-    /// attribute time to a kernel region. O(1) after the first query.
+    /// attribute time to a kernel region.
     #[must_use]
     pub fn cycles_in_range(&self, start: u32, end: u32) -> u64 {
-        self.aggregates().cycles_in_range(start, end)
+        self.events
+            .iter()
+            .filter(|e| e.pc >= start && e.pc < end)
+            .map(|e| u64::from(e.cycles))
+            .sum()
     }
 
     /// Instructions retired in the half-open PC range `[start, end)`.
-    /// O(1) after the first query.
     #[must_use]
     pub fn instructions_in_range(&self, start: u32, end: u32) -> u64 {
-        self.aggregates().instructions_in_range(start, end)
-    }
-
-    /// Instruction-class histogram of the trace.
-    #[must_use]
-    pub fn class_histogram(&self) -> [u64; OpClass::ALL.len()] {
-        let mut h = [0u64; OpClass::ALL.len()];
-        for e in &self.events {
-            h[e.insn.class().index()] += 1;
-        }
-        h
+        self.events.iter().filter(|e| e.pc >= start && e.pc < end).count() as u64
     }
 }
 
@@ -284,7 +158,7 @@ mod tests {
         let mut t = Trace::new();
         t.push(ev(0x10, 2));
         assert_eq!(t.cycles_in_range(0, 0x100), 2);
-        // A push after a query must invalidate the prefix table.
+        // A push after a query must count in the next query.
         t.push(ev(0x20, 4));
         assert_eq!(t.cycles_in_range(0, 0x100), 6);
         assert_eq!(t.instructions_in_range(0x14, 0x24), 1);
@@ -322,14 +196,5 @@ mod tests {
         assert!(!fwd.is_backward_taken_branch());
         let not_taken = TraceEvent { taken: Some(false), target: None, ..branch };
         assert!(!not_taken.is_backward_taken_branch());
-    }
-
-    #[test]
-    fn histogram_counts_classes() {
-        let mut t = Trace::new();
-        t.push(ev(0, 1));
-        t.push(ev(4, 1));
-        let h = t.class_histogram();
-        assert_eq!(h[mb_isa::OpClass::Alu.index()], 2);
     }
 }

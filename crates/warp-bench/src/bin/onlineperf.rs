@@ -16,13 +16,16 @@
 //!
 //! After writing the document the run exits nonzero naming every gate
 //! `OnlinePerf::check` finds violated; `ONLINEPERF_REWARP_RATIO`
-//! overrides its 0.5 re-warp ceiling.
+//! overrides its 0.5 re-warp ceiling, and fails the run before it
+//! measures when set to anything but a finite number.
 
 use warp_bench::measure::{self, BenchCli};
 use warp_bench::online;
 
 fn main() {
     let cli = BenchCli::parse("ONLINEPERF_SMOKE", "BENCH_online.json");
+    // A malformed ceiling fails the run here, before the measurement.
+    let _ = measure::env_gate("ONLINEPERF_REWARP_RATIO");
 
     let perf = online::measure_suite(cli.smoke);
     println!("online warp runtime timeline, {} mode:\n", if cli.smoke { "smoke" } else { "full" });

@@ -1,7 +1,7 @@
 //! Measures simulation throughput (Minsn/s) across the paper suite in
-//! six run modes — decode-per-fetch reference, per-instruction
-//! predecoded path, superblock engine, megablock trace engine,
-//! streaming summary, full trace — and writes `BENCH_sim.json`. Each
+//! five run modes — decode-per-fetch reference, per-instruction
+//! predecoded path, superblock engine, megablock trace engine, full
+//! trace — and writes `BENCH_sim.json`. Each
 //! mode asserts the engine it measures via `System::active_engine`, so
 //! a silent downgrade fails the run instead of publishing mislabeled
 //! numbers.
@@ -11,7 +11,7 @@
 //! `--smoke` (or `SIMPERF_SMOKE=1`) runs three repetitions per mode for
 //! CI; the default is best-of-40 (single runs are ~1 ms, so repetitions
 //! are cheap and the minimum filters scheduler noise). The JSON schema
-//! (`warp-mb/bench-sim/v7`, with per-workload `engine_coverage`
+//! (`warp-mb/bench-sim/v8`, with per-workload `engine_coverage`
 //! fractions showing which tier — step, block, trace — retired the
 //! instructions) is described in the README's "Performance" section.
 //! Workloads whose per-workload trace-vs-block speedup sits below the
@@ -21,13 +21,18 @@
 //!
 //! After writing the document the run exits nonzero naming every gate
 //! `SimPerf::check` finds violated; the `SIMPERF_*_FLOOR` floors gate
-//! only when set.
+//! only when set. A floor set to anything but a finite number fails the
+//! run before it measures.
 
 use warp_bench::measure::{self, BenchCli};
 use warp_bench::simperf;
 
 fn main() {
     let cli = BenchCli::parse("SIMPERF_SMOKE", "BENCH_sim.json");
+    // A malformed floor fails the run here, before the measurement.
+    for gate in ["SIMPERF_SPEEDUP_FLOOR", "SIMPERF_BLOCK_FLOOR", "SIMPERF_TRACE_FLOOR"] {
+        let _ = measure::env_gate(gate);
+    }
     // Runs are sub-millisecond, so best-of needs a deep rep count to
     // converge on the noise floor — host frequency drift between modes
     // otherwise skews the published mode-vs-mode ratios.

@@ -8,10 +8,27 @@
 use std::time::Instant;
 
 /// The gate lookup the harness binaries pass to `check`: the number the
-/// environment variable `name` holds, if it is set to one.
+/// environment variable `name` holds, if it is set. A set value that is
+/// not a finite number exits the process nonzero, naming the variable
+/// and its value, so a malformed gate fails the run instead of switching
+/// itself off. The binaries look up each of their gates once before
+/// they measure, so such a run fails at once.
 #[must_use]
 pub fn env_gate(name: &str) -> Option<f64> {
-    std::env::var(name).ok().and_then(|v| v.parse::<f64>().ok())
+    let value = std::env::var_os(name)?;
+    let value = value.to_string_lossy();
+    let Some(gate) = parse_gate(&value) else {
+        eprintln!("gate {name}={value:?} is not a finite number");
+        std::process::exit(1);
+    };
+    Some(gate)
+}
+
+/// A gate's value: a finite number, or `None` for anything else,
+/// including trailing text (`1.5x`), the empty string, and the NaN and
+/// infinities that `f64`'s parser accepts (no floor compares below NaN).
+fn parse_gate(value: &str) -> Option<f64> {
+    value.parse::<f64>().ok().filter(|v| v.is_finite())
 }
 
 /// Names every gate violation on stderr and exits nonzero if there is
@@ -131,6 +148,15 @@ pub(crate) fn assert_gate_table<T: Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn gate_values_must_be_finite_numbers() {
+        for malformed in ["1.5x", "", "nan", "NaN", "inf", "-inf", "infinity"] {
+            assert_eq!(parse_gate(malformed), None, "{malformed:?} must be rejected");
+        }
+        assert_eq!(parse_gate("2"), Some(2.0));
+        assert_eq!(parse_gate("1.25"), Some(1.25));
+    }
 
     #[test]
     fn best_of_takes_the_minimum() {

@@ -3,7 +3,7 @@
 //! Simulated instructions per second is the metric that gates how many
 //! scenarios the batch runner can cover, so this harness records it per
 //! PR. For every workload in the paper suite it measures host wall-clock
-//! for six run modes of the same simulation:
+//! for five run modes of the same simulation:
 //!
 //! * `reference_decode_per_fetch` — the seed loop: decode on every
 //!   fetch ([`MbConfig::predecode`] off), no tracing;
@@ -16,16 +16,14 @@
 //! * `trace` — the megablock trace engine (the default configuration):
 //!   loop bodies chained across their backward guard and iterated
 //!   inside one dispatch, [`NullSink`];
-//! * `summary` — trace engine streaming a [`TraceSummary`] through the
-//!   batched `retire_block` hook;
 //! * `full_trace` — trace engine recording the complete event vector.
 //!
 //! Every mode asserts [`System::active_engine`] before timing — the
 //! engine measured is the engine claimed, never a silent downgrade.
-//! Simulated cycle/instruction counts are identical across all six
+//! Simulated cycle/instruction counts are identical across all five
 //! modes (asserted here, locked in by `tests/sim_fast_path.rs`); only
 //! host speed differs. [`SimPerf::to_json`] emits the `BENCH_sim.json`
-//! document (schema `warp-mb/bench-sim/v7`) CI validates and archives
+//! document (schema `warp-mb/bench-sim/v8`) CI validates and archives
 //! per PR; the schema is documented in the README's "Performance"
 //! section.
 //!
@@ -45,9 +43,14 @@
 //!
 //! v7 drops v6's `lockstep` object along with the lane engine it
 //! measured.
+//!
+//! v8 drops the `summary` mode and its `summary_minsn_per_s` aggregate
+//! along with the streaming summary sink it timed. The sink the warp
+//! system runs on is the profiler, which ladderbench's `warp-profiler`
+//! rung times.
 
 use mb_isa::{MbFeatures, OpClass};
-use mb_sim::{Engine, MbConfig, NullSink, Outcome, StopReason, System, Trace, TraceSummary};
+use mb_sim::{Engine, MbConfig, NullSink, Outcome, StopReason, System, Trace};
 use workloads::BuiltWorkload;
 
 use crate::measure::best_of_seconds_with;
@@ -132,8 +135,6 @@ pub struct WorkloadPerf {
     pub block: ModePerf,
     /// Megablock trace engine, no sink.
     pub trace: ModePerf,
-    /// Trace engine, streaming summary sink.
-    pub summary: ModePerf,
     /// Trace engine, full event vector.
     pub full_trace: ModePerf,
     /// Fraction of retired instructions the trace-config run stepped
@@ -264,7 +265,7 @@ impl SimPerf {
         };
         require(!self.workloads.is_empty(), "no workloads".into());
         for w in &self.workloads {
-            let modes = [w.reference, w.predecoded, w.block, w.trace, w.summary, w.full_trace];
+            let modes = [w.reference, w.predecoded, w.block, w.trace, w.full_trace];
             let seconds = modes.map(|m| m.seconds);
             require(seconds.iter().all(|&s| s > 0.0), format!("{}: seconds {seconds:?}", w.name));
             let (block, trace) = (w.block_speedup(), w.trace_speedup());
@@ -291,7 +292,7 @@ impl SimPerf {
     }
 
     /// Renders the `BENCH_sim.json` document (schema
-    /// `warp-mb/bench-sim/v7`: the per-workload modes and
+    /// `warp-mb/bench-sim/v8`: the per-workload modes and
     /// `engine_coverage` fractions, the `below_floor` outlier list with
     /// a `floor_waiver` diagnosis string (or `null`) on every entry, so
     /// known floor-limited workloads carry their explanation instead of
@@ -305,7 +306,7 @@ impl SimPerf {
             )
         };
         let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"warp-mb/bench-sim/v7\",\n");
+        out.push_str("  \"schema\": \"warp-mb/bench-sim/v8\",\n");
         out.push_str(&format!("  \"mode\": \"{}\",\n", if self.smoke { "smoke" } else { "full" }));
         out.push_str(&format!("  \"reps\": {},\n", self.reps));
         out.push_str(&format!("  \"mb_clock_hz\": {},\n", mb_sim::MB_CLOCK_HZ));
@@ -314,7 +315,7 @@ impl SimPerf {
             out.push_str(&format!(
                 "    {{\"name\": \"{}\", \"instructions\": {}, \"mb_cycles\": {}, \
                  \"modes\": {{\"reference_decode_per_fetch\": {}, \"predecoded\": {}, \
-                 \"block\": {}, \"trace\": {}, \"summary\": {}, \"full_trace\": {}}}, \
+                 \"block\": {}, \"trace\": {}, \"full_trace\": {}}}, \
                  \"engine_coverage\": {{\"step\": {:.4}, \"block\": {:.4}, \"trace\": {:.4}}}, \
                  \"trace_speedup_vs_block\": {:.3}, \
                  \"block_speedup_vs_predecoded\": {:.3}, \
@@ -326,7 +327,6 @@ impl SimPerf {
                 mode_json(&w.predecoded),
                 mode_json(&w.block),
                 mode_json(&w.trace),
-                mode_json(&w.summary),
                 mode_json(&w.full_trace),
                 w.step_fraction,
                 w.block_fraction,
@@ -354,8 +354,7 @@ impl SimPerf {
         ));
         out.push_str(&format!(
             "  \"aggregate\": {{\"trace_minsn_per_s\": {:.3}, \"block_minsn_per_s\": {:.3}, \
-             \"predecoded_minsn_per_s\": {:.3}, \
-             \"summary_minsn_per_s\": {:.3}, \"full_trace_minsn_per_s\": {:.3}, \
+             \"predecoded_minsn_per_s\": {:.3}, \"full_trace_minsn_per_s\": {:.3}, \
              \"reference_minsn_per_s\": {:.3}, \"trace_speedup_vs_block\": {:.3}, \
              \"block_speedup_vs_predecoded\": {:.3}, \
              \"predecoded_speedup_vs_reference\": {:.3}, \
@@ -364,7 +363,6 @@ impl SimPerf {
             self.aggregate_minsn(|w| w.trace),
             self.aggregate_minsn(|w| w.block),
             self.aggregate_minsn(|w| w.predecoded),
-            self.aggregate_minsn(|w| w.summary),
             self.aggregate_minsn(|w| w.full_trace),
             self.aggregate_minsn(|w| w.reference),
             self.aggregate_trace_speedup(),
@@ -381,19 +379,18 @@ impl SimPerf {
     #[must_use]
     pub fn render_table(&self) -> String {
         let mut out = format!(
-            "{:>10} | {:>12} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8} {:>8}\n",
+            "{:>10} | {:>12} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8} {:>8}\n",
             "benchmark",
             "insns",
             "ref Mi/s",
             "predec",
             "block",
             "trace",
-            "summary",
             "full",
             "blockup",
             "traceup"
         );
-        out.push_str(&"-".repeat(107));
+        out.push_str(&"-".repeat(97));
         out.push('\n');
         let mut row = |name: &str,
                        insns: u64,
@@ -401,12 +398,11 @@ impl SimPerf {
                        p: f64,
                        b: f64,
                        t: f64,
-                       s: f64,
                        f: f64,
                        blockup: f64,
                        traceup: f64| {
             out.push_str(&format!(
-                "{name:>10} | {insns:>12} {r:>9.1} {p:>9.1} {b:>9.1} {t:>9.1} {s:>9.1} {f:>9.1} {blockup:>7.2}x {traceup:>7.2}x\n",
+                "{name:>10} | {insns:>12} {r:>9.1} {p:>9.1} {b:>9.1} {t:>9.1} {f:>9.1} {blockup:>7.2}x {traceup:>7.2}x\n",
             ));
         };
         for w in &self.workloads {
@@ -417,7 +413,6 @@ impl SimPerf {
                 w.predecoded.minsn_per_s,
                 w.block.minsn_per_s,
                 w.trace.minsn_per_s,
-                w.summary.minsn_per_s,
                 w.full_trace.minsn_per_s,
                 w.block_speedup(),
                 w.trace_speedup(),
@@ -430,7 +425,6 @@ impl SimPerf {
             self.aggregate_minsn(|w| w.predecoded),
             self.aggregate_minsn(|w| w.block),
             self.aggregate_minsn(|w| w.trace),
-            self.aggregate_minsn(|w| w.summary),
             self.aggregate_minsn(|w| w.full_trace),
             self.aggregate_block_speedup(),
             self.aggregate_trace_speedup(),
@@ -526,7 +520,7 @@ fn run_seed_style(sys: &mut mb_sim::System) -> Outcome {
     }
 }
 
-/// Measures one workload across all six modes.
+/// Measures one workload across all five modes.
 #[must_use]
 pub fn measure_workload(workload: &workloads::Workload, reps: usize) -> WorkloadPerf {
     let built = workload.build(MbFeatures::paper_default());
@@ -548,10 +542,6 @@ pub fn measure_workload(workload: &workloads::Workload, reps: usize) -> Workload
     let t_trace = time_mode(&built, &trace, Engine::Trace, reps, expected, run_untraced);
     let t_block = time_mode(&built, &block, Engine::Block, reps, expected, run_untraced);
     let t_predecoded = time_mode(&built, &predecoded, Engine::Step, reps, expected, run_untraced);
-    let t_summary = time_mode(&built, &trace, Engine::Trace, reps, expected, |sys| {
-        let mut summary = TraceSummary::new();
-        sys.run_with_sink(MAX_CYCLES, &mut summary).unwrap()
-    });
     let t_full = time_mode(&built, &trace, Engine::Trace, reps, expected, |sys| {
         let mut trace = Trace::new();
         sys.run_with_sink(MAX_CYCLES, &mut trace).unwrap()
@@ -566,7 +556,6 @@ pub fn measure_workload(workload: &workloads::Workload, reps: usize) -> Workload
         predecoded: ModePerf::from_best(t_predecoded, expected.1, Engine::Step),
         block: ModePerf::from_best(t_block, expected.1, Engine::Block),
         trace: ModePerf::from_best(t_trace, expected.1, Engine::Trace),
-        summary: ModePerf::from_best(t_summary, expected.1, Engine::Trace),
         full_trace: ModePerf::from_best(t_full, expected.1, Engine::Trace),
         step_fraction,
         block_fraction,
@@ -599,7 +588,6 @@ mod tests {
                 predecoded: mode(0.1, Engine::Step),
                 block: mode(0.05, Engine::Block),
                 trace: mode(0.025, Engine::Trace),
-                summary: mode(0.06, Engine::Trace),
                 full_trace: mode(0.2, Engine::Trace),
                 step_fraction: 0.02,
                 block_fraction: 0.08,
@@ -611,7 +599,7 @@ mod tests {
     #[test]
     fn json_has_schema_and_balanced_structure() {
         let json = synthetic().to_json();
-        assert!(json.contains("\"schema\": \"warp-mb/bench-sim/v7\""));
+        assert!(json.contains("\"schema\": \"warp-mb/bench-sim/v8\""));
         assert!(json.contains(
             "\"engine_coverage\": {\"step\": 0.0200, \"block\": 0.0800, \"trace\": 0.9000}"
         ));
@@ -667,7 +655,7 @@ mod tests {
             |p, gate| p.check(gate),
             &[
                 (&[], "no workloads", |p| p.workloads.clear()),
-                (&[], "brev: seconds", |p| p.workloads[0].summary.seconds = 0.0),
+                (&[], "brev: seconds", |p| p.workloads[0].full_trace.seconds = 0.0),
                 (&[], "brev: speedups 0 inf", |p| p.workloads[0].block.seconds = f64::INFINITY),
                 (&[], "brev: speedups 2 0", |p| p.workloads[0].trace.seconds = f64::INFINITY),
                 (&[], "engine_coverage [-0.02", |p| {

@@ -54,23 +54,6 @@ pub struct TracedRun {
     pub sw_seconds: f64,
 }
 
-impl TracedRun {
-    /// O(1) per-PC aggregate view of the trace — the interface for
-    /// stages that attribute cycles/instructions to code regions and
-    /// never need the raw event vector.
-    #[must_use]
-    pub fn aggregates(&self) -> &mb_sim::PcAggregates {
-        self.trace.aggregates()
-    }
-
-    /// Cycles the software-only run spent in the half-open PC range
-    /// `[start, end)`.
-    #[must_use]
-    pub fn cycles_in_range(&self, start: u32, end: u32) -> u64 {
-        self.trace.cycles_in_range(start, end)
-    }
-}
-
 /// Phase 3 artifact: the decompiled kernel plus its identity.
 #[derive(Clone, Debug)]
 pub struct DecompiledKernel {

@@ -11,7 +11,7 @@
 //!    a region, no amount of further decay brings it back; only fresh
 //!    observations of that branch can.
 
-use mb_isa::{Cond, Insn, OpClass, Reg};
+use mb_isa::{Cond, Insn, Reg};
 use mb_sim::{BlockRetire, TraceEvent, TraceSink};
 use proptest::prelude::*;
 use warp_profiler::{HotRegion, Profiler, ProfilerConfig};
@@ -141,21 +141,13 @@ proptest! {
     /// alone.
     #[test]
     fn decayed_trace_heads_never_resurrect(seed in any::<u64>()) {
-        let zero_classes = [0u32; OpClass::ALL.len()];
         let stream = branch_stream(seed, 300);
         let mut p = Profiler::new(ProfilerConfig::default());
         for &(tail, head) in &stream {
             // A chained iteration: body batch, then the guard event
             // (forward "guards" in the stream must be ignored, exactly
             // like forward branches on the per-event path).
-            p.retire_block(&BlockRetire {
-                head,
-                instructions: 3,
-                cycles: 4,
-                class_insns: &zero_classes,
-                insn_cycles: &[1, 1, 2],
-                events: &[],
-            });
+            p.retire_block(&BlockRetire { instructions: 3, events: &[] });
             p.record(&guard_event(tail, head));
         }
 

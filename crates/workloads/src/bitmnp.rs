@@ -178,9 +178,9 @@ mod tests {
     fn kernel_fraction_matches_design() {
         let built = build(MbFeatures::paper_default());
         let mut sys = built.instantiate(&MbConfig::paper_default());
-        let (out, summary) = sys.run_summarized(50_000_000).unwrap();
+        let (out, trace) = sys.run_traced(50_000_000).unwrap();
         let (s, e) = built.kernel.range();
-        let frac = summary.cycles_in_range(s, e) as f64 / out.cycles as f64;
+        let frac = trace.cycles_in_range(s, e) as f64 / out.cycles as f64;
         assert!((0.55..0.85).contains(&frac), "bitmnp kernel fraction {frac:.3}");
     }
 }

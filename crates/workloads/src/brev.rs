@@ -156,9 +156,9 @@ mod tests {
     fn kernel_dominates_execution() {
         let built = build(MbFeatures::paper_default());
         let mut sys = built.instantiate(&MbConfig::paper_default());
-        let (out, summary) = sys.run_summarized(50_000_000).unwrap();
+        let (out, trace) = sys.run_traced(50_000_000).unwrap();
         let (start, end) = built.kernel.range();
-        let kernel_cycles = summary.cycles_in_range(start, end);
+        let kernel_cycles = trace.cycles_in_range(start, end);
         let frac = kernel_cycles as f64 / out.cycles as f64;
         assert!(frac > 0.9, "brev kernel fraction {frac:.3} should dominate");
     }

@@ -286,9 +286,9 @@ mod tests {
     fn kernel_dominates() {
         let built = build(MbFeatures::paper_default());
         let mut sys = built.instantiate(&MbConfig::paper_default());
-        let (out, summary) = sys.run_summarized(100_000_000).unwrap();
+        let (out, trace) = sys.run_traced(100_000_000).unwrap();
         let (s, e) = built.kernel.range();
-        let frac = summary.cycles_in_range(s, e) as f64 / out.cycles as f64;
+        let frac = trace.cycles_in_range(s, e) as f64 / out.cycles as f64;
         assert!(frac > 0.8, "idct kernel fraction {frac:.3}");
     }
 

@@ -216,9 +216,9 @@ mod tests {
     fn inner_loop_is_the_kernel() {
         let built = build(MbFeatures::paper_default());
         let mut sys = built.instantiate(&MbConfig::paper_default());
-        let (out, summary) = sys.run_summarized(50_000_000).unwrap();
+        let (out, trace) = sys.run_traced(50_000_000).unwrap();
         let (s, e) = built.kernel.range();
-        let frac = summary.cycles_in_range(s, e) as f64 / out.cycles as f64;
+        let frac = trace.cycles_in_range(s, e) as f64 / out.cycles as f64;
         assert!(frac > 0.7, "matmul inner-loop fraction {frac:.3}");
     }
 }

@@ -301,18 +301,21 @@ mod tests {
     fn phase_a_dominates_the_whole_run_profile() {
         let built = build(MbFeatures::paper_default());
         let mut sys = built.instantiate(&MbConfig::paper_default());
-        let (out, summary) = sys.run_summarized(50_000_000).unwrap();
+        let (out, trace) = sys.run_traced(50_000_000).unwrap();
         let [ka, ka2, kb] = phase_kernels(&built);
-        let a_events = summary.backward_taken_at(ka.tail);
-        let a2_events = summary.backward_taken_at(ka2.tail);
-        let b_events = summary.backward_taken_at(kb.tail);
+        let backward_taken_at = |tail: u32| {
+            trace.iter().filter(|e| e.pc == tail && e.is_backward_taken_branch()).count() as u64
+        };
+        let a_events = backward_taken_at(ka.tail);
+        let a2_events = backward_taken_at(ka2.tail);
+        let b_events = backward_taken_at(kb.tail);
         assert_eq!(a_events, u64::from(OUTER_A) * (N_A as u64 - 1));
         assert_eq!(a2_events, u64::from(OUTER_A2) * (N_A as u64 - 1));
         assert_eq!(b_events, u64::from(OUTER_B) * (N_B as u64 - 1));
         assert!(a_events > a2_events, "offline hottest must stay kernel 1");
         assert!(a_events > b_events, "offline hottest must stay kernel 1");
         let (s, e) = built.kernel.range();
-        let frac = summary.cycles_in_range(s, e) as f64 / out.cycles as f64;
+        let frac = trace.cycles_in_range(s, e) as f64 / out.cycles as f64;
         assert!(frac > 0.45, "phase A kernel fraction {frac:.3}");
     }
 

@@ -37,14 +37,15 @@ fn hardware_iteration_beats_software_iteration() {
                 .unwrap();
         let (circuit, _) = WclaCircuit::build(kernel).unwrap();
 
-        // Software: count the kernel's per-iteration cycles from the
-        // streaming summary — region totals and per-PC backward-branch
-        // counts need no recorded event vector.
+        // Software: count the kernel's per-iteration cycles from a trace.
         let mut sys = built.instantiate(&MbConfig::paper_default());
-        let (_, summary) = sys.run_summarized(500_000_000).unwrap();
+        let (_, trace) = sys.run_traced(500_000_000).unwrap();
         let (start, end) = built.kernel.range();
-        let kernel_cycles = summary.cycles_in_range(start, end);
-        let backward = summary.backward_taken_at(built.kernel.tail);
+        let kernel_cycles = trace.cycles_in_range(start, end);
+        let backward = trace
+            .iter()
+            .filter(|e| e.pc == built.kernel.tail && e.is_backward_taken_branch())
+            .count() as u64;
         let iterations = backward + circuit_invocations(&built);
         let sw_ns_per_iter = kernel_cycles as f64 / iterations.max(1) as f64 / 85e6 * 1e9;
 

@@ -1,8 +1,7 @@
 //! Fast-path equivalence: the pre-decoded fetch store, the superblock
-//! engine, the trace sinks, and the streaming aggregates must be
-//! invisible to simulated results.
+//! engine, and the trace sinks must be invisible to simulated results.
 //!
-//! Six contracts are locked in here:
+//! Five contracts are locked in here:
 //!
 //! 1. the pre-decoded fetch path produces an instruction-for-instruction
 //!    identical [`Trace`], identical [`ExecStats`], and identical
@@ -17,19 +16,15 @@
 //!    through [`System::imem_mut`] — the WCLA binary-patching interface
 //!    — the patched words execute, never stale pre-decoded ones, stale
 //!    fused blocks, or stale chained traces;
-//! 4. a [`TraceSummary`] streamed during the run equals every aggregate
-//!    computed from the full trace;
-//! 5. every configuration dispatches the engine it reports via
-//!    [`System::active_engine`] — in particular, caches no longer
-//!    silently downgrade block dispatch to stepping;
-//! 6. the default configuration retires exactly the pinned number of
+//! 4. every configuration dispatches the engine it reports via
+//!    [`System::active_engine`], never a silent downgrade;
+//! 5. the default configuration retires exactly the pinned number of
 //!    instructions on each tier (step, block, trace) of every workload,
 //!    so a trace engine that stops chaining fails here even while it
 //!    still reports [`Engine::Trace`].
 
 use mb_isa::{encode, Assembler, Insn, MbFeatures, MemSize, Reg};
-use mb_sim::cache::CacheConfig;
-use mb_sim::{Engine, MbConfig, NullSink, System, Trace, TraceSummary, EXIT_PORT_BASE};
+use mb_sim::{Engine, MbConfig, NullSink, System, Trace, EXIT_PORT_BASE};
 use workloads::BuiltWorkload;
 
 /// Trace engine on (the default configuration).
@@ -51,26 +46,12 @@ fn reference_config() -> MbConfig {
     MbConfig::paper_default().with_predecode(false).with_blocks(false)
 }
 
-/// The trace engine with both caches configured: the configuration that
-/// used to silently downgrade to per-instruction stepping and now
-/// dispatches careful (per-op accounted) blocks.
-fn cached_config(base: MbConfig) -> MbConfig {
-    let mut config = base;
-    config.icache = Some(CacheConfig::small());
-    config.dcache = Some(CacheConfig::small());
-    config
-}
-
 #[test]
 fn every_config_reports_the_engine_it_dispatches() {
     assert_eq!(System::new(fast_config()).active_engine(), Engine::Trace);
     assert_eq!(System::new(block_config()).active_engine(), Engine::Block);
     assert_eq!(System::new(step_config()).active_engine(), Engine::Step);
     assert_eq!(System::new(reference_config()).active_engine(), Engine::Reference);
-    // Caches no longer demote the engine: the dispatch switches to
-    // per-op accounting instead (pinned by the cached equality tests).
-    assert_eq!(System::new(cached_config(fast_config())).active_engine(), Engine::Trace);
-    assert_eq!(System::new(cached_config(block_config())).active_engine(), Engine::Block);
 }
 
 /// Every registry workload built on its default inputs and on one seeded
@@ -284,66 +265,6 @@ fn trace_block_and_step_engines_match_on_all_workloads() {
 }
 
 #[test]
-fn cached_configs_retire_blocks_with_identical_results() {
-    // The configuration that used to silently step: caches on, blocks
-    // on. Careful dispatch must match per-instruction stepping with the
-    // identical cache model bit-for-bit — outcome, trace, stats, CPU,
-    // and dmem.
-    for workload in workloads::paper_suite() {
-        let built = workload.build(MbFeatures::paper_default());
-
-        let mut careful = built.instantiate(&cached_config(fast_config()));
-        let (out_c, trace_c) = careful.run_traced(2_000_000_000).unwrap();
-
-        let mut stepped = built.instantiate(&cached_config(step_config()));
-        assert_eq!(stepped.active_engine(), Engine::Step);
-        let (out_s, trace_s) = stepped.run_traced(2_000_000_000).unwrap();
-
-        assert_eq!(out_c, out_s, "{}: cached outcome must be identical", workload.name);
-        assert_eq!(trace_c, trace_s, "{}: cached event streams must match", workload.name);
-        assert_eq!(
-            careful.stats(),
-            stepped.stats(),
-            "{}: cached ExecStats must match",
-            workload.name
-        );
-        assert_eq!(careful.cpu(), stepped.cpu(), "{}: cached CPU state must match", workload.name);
-        built.verify(careful.dmem()).unwrap();
-    }
-}
-
-#[test]
-fn cached_sliced_execution_stops_at_step_engine_boundaries() {
-    // Careful dispatch checks the budget per op, so slice boundaries
-    // land mid-block; they must be the step engine's exact boundaries.
-    let built = workloads::by_name("brev").unwrap().build(MbFeatures::paper_default());
-    let budgets = [1u64, 3, 7, 17, 33, 129, 513];
-
-    let mut careful = built.instantiate(&cached_config(fast_config()));
-    let mut stepped = built.instantiate(&cached_config(step_config()));
-    let mut trace_c = Trace::new();
-    let mut trace_s = Trace::new();
-    for (i, &budget) in budgets.iter().cycle().enumerate() {
-        let out_c = careful.run_slice(budget, &mut trace_c).unwrap();
-        let out_s = stepped.run_slice(budget, &mut trace_s).unwrap();
-        assert_eq!(out_c, out_s, "slice {i} (budget {budget}) diverged");
-        assert_eq!(
-            careful.cpu().pc(),
-            stepped.cpu().pc(),
-            "slice {i} (budget {budget}): boundary PC diverged"
-        );
-        assert_eq!(careful.stats(), stepped.stats(), "slice {i}: stats diverged");
-        if out_c.exited() {
-            break;
-        }
-        assert!(i < 20_000_000, "workload never exited under sliced execution");
-    }
-    assert_eq!(trace_c, trace_s, "cached sliced traces must be event-identical");
-    assert_eq!(careful.cpu(), stepped.cpu());
-    built.verify(careful.dmem()).unwrap();
-}
-
-#[test]
 fn sliced_block_execution_stops_at_step_engine_boundaries() {
     // Slice budgets small enough that they constantly expire mid-block:
     // the engine must split at the exact instruction boundary the step
@@ -504,9 +425,8 @@ fn trailing_imm_guard_prefix_survives_slice_boundaries() {
     // displacement): the trailing `imm` fuses into the guard when the
     // trace chains. A slice boundary landing between the `imm` and the
     // branch must leave the architectural prefix pending, exactly as
-    // the step engine would — for the trace engine (guard skipped on
-    // budget expiry) and the careful cached path (per-op budget exit)
-    // alike. Full-CPU equality every slice catches a dropped prefix.
+    // the step engine would (the trace engine skips the guard on budget
+    // expiry). Full-CPU equality every slice catches a dropped prefix.
     let program = {
         let mut a = Assembler::new(0);
         a.li(Reg::R3, 50);
@@ -518,86 +438,28 @@ fn trailing_imm_guard_prefix_survives_slice_boundaries() {
         a.push(Insn::swi(Reg::R0, Reg::R31, 0));
         a.finish().unwrap()
     };
-    let pairs: [(MbConfig, MbConfig); 2] = [
-        (fast_config(), step_config()),
-        (cached_config(fast_config()), cached_config(step_config())),
-    ];
-    for (engine_config, step_config) in pairs {
-        for budget in [1u64, 2, 3, 4, 5, 7, 11] {
-            let mut fast = System::new(engine_config.clone());
-            let mut stepped = System::new(step_config.clone());
-            fast.load_program(&program).unwrap();
-            stepped.load_program(&program).unwrap();
-            let mut trace_f = Trace::new();
-            let mut trace_s = Trace::new();
-            loop {
-                let out_f = fast.run_slice(budget, &mut trace_f).unwrap();
-                let out_s = stepped.run_slice(budget, &mut trace_s).unwrap();
-                assert_eq!(out_f, out_s, "budget {budget} diverged");
-                assert_eq!(
-                    fast.cpu(),
-                    stepped.cpu(),
-                    "budget {budget}: full CPU state (incl. imm prefix) at the boundary"
-                );
-                if out_f.exited() {
-                    break;
-                }
+    for budget in [1u64, 2, 3, 4, 5, 7, 11] {
+        let mut fast = System::new(fast_config());
+        let mut stepped = System::new(step_config());
+        fast.load_program(&program).unwrap();
+        stepped.load_program(&program).unwrap();
+        let mut trace_f = Trace::new();
+        let mut trace_s = Trace::new();
+        loop {
+            let out_f = fast.run_slice(budget, &mut trace_f).unwrap();
+            let out_s = stepped.run_slice(budget, &mut trace_s).unwrap();
+            assert_eq!(out_f, out_s, "budget {budget} diverged");
+            assert_eq!(
+                fast.cpu(),
+                stepped.cpu(),
+                "budget {budget}: full CPU state (incl. imm prefix) at the boundary"
+            );
+            if out_f.exited() {
+                break;
             }
-            assert_eq!(trace_f, trace_s, "budget {budget}: event streams must match");
-            assert_eq!(fast.stats(), stepped.stats(), "budget {budget}");
-            assert_eq!(fast.cpu().reg(Reg::R4), 50 * 9);
         }
-    }
-}
-
-#[test]
-fn summary_sink_equals_full_trace_aggregates() {
-    for workload in workloads::paper_suite() {
-        let built = workload.build(MbFeatures::paper_default());
-
-        let mut traced = built.instantiate(&fast_config());
-        let (out_t, trace) = traced.run_traced(500_000_000).unwrap();
-
-        let mut summarized = built.instantiate(&fast_config());
-        let (out_s, summary) = summarized.run_summarized(500_000_000).unwrap();
-
-        assert_eq!(out_t, out_s, "{}", workload.name);
-        // The summary streamed during execution is exactly the summary
-        // of the recorded trace...
-        assert_eq!(summary, TraceSummary::of_trace(&trace), "{}", workload.name);
-        // ...and every aggregate matches the trace's own answers.
-        assert_eq!(summary.len(), trace.len() as u64, "{}", workload.name);
-        assert_eq!(summary.cycles(), trace.cycles(), "{}", workload.name);
-        assert_eq!(summary.class_histogram(), trace.class_histogram(), "{}", workload.name);
-        assert_eq!(
-            summary.backward_taken(),
-            trace.iter().filter(|e| e.is_backward_taken_branch()).count() as u64,
-            "{}",
-            workload.name
-        );
-        let (start, end) = built.kernel.range();
-        for (lo, hi) in [(start, end), (0, u32::MAX), (start, start), (end, end + 64)] {
-            assert_eq!(
-                summary.cycles_in_range(lo, hi),
-                trace.cycles_in_range(lo, hi),
-                "{}: cycles [{lo:#x},{hi:#x})",
-                workload.name
-            );
-            assert_eq!(
-                summary.instructions_in_range(lo, hi),
-                trace.instructions_in_range(lo, hi),
-                "{}: insns [{lo:#x},{hi:#x})",
-                workload.name
-            );
-        }
-        assert_eq!(
-            summary.backward_taken_at(built.kernel.tail),
-            trace
-                .iter()
-                .filter(|e| e.pc == built.kernel.tail && e.is_backward_taken_branch())
-                .count() as u64,
-            "{}",
-            workload.name
-        );
+        assert_eq!(trace_f, trace_s, "budget {budget}: event streams must match");
+        assert_eq!(fast.stats(), stepped.stats(), "budget {budget}");
+        assert_eq!(fast.cpu().reg(Reg::R4), 50 * 9);
     }
 }
