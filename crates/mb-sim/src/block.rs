@@ -32,26 +32,29 @@
 //! Backward branches are exactly the events the paper's profiler
 //! watches, so the chained shape is the application's critical loop.
 //!
-//! Invalidation mirrors the predecode store: the store compares
-//! [`Bram::generation`] and uses [`Bram::dirty_words_since`] to drop
-//! only blocks overlapping the patched words — a block is dropped if
-//! *any* of its words changed, *including its guard word*, so the scan
-//! walks back one maximum trace length. PCs observed to touch the OPB
-//! mid-block are remembered so rebuilt blocks end before them and
-//! peripheral accesses always go through [`System::step`], which polls
-//! the exit port.
+//! The blocks share one per-word table with the pre-decoded slots and
+//! the learned OPB words, in the [`ProgramStore`]. Invalidation happens
+//! where instruction memory is written: [`System::write_imem`] drops
+//! the written words' slots and every block overlapping them — a block
+//! is dropped if *any* of its words changed, *including its guard
+//! word*, so the scan walks back one maximum trace length. PCs observed
+//! to touch the OPB mid-block are remembered so rebuilt blocks end
+//! before them and peripheral accesses always go through
+//! [`System::step`], which polls the exit port.
 //!
 //! [`System`]: crate::System
 //! [`System::step`]: crate::System::step
+//! [`System::write_imem`]: crate::System::write_imem
 //! [`MbConfig::traces`]: crate::MbConfig::traces
 
 use std::sync::Arc;
 
-use mb_isa::{Cond, Insn, MbFeatures, MemSize, OpClass, Reg, ShiftKind};
+use mb_isa::{decode, Cond, Insn, MbFeatures, MemSize, OpClass, Reg, ShiftKind};
 
 use crate::image::Shareable;
-use crate::predecode::{DecodeCache, Predecoded};
-use crate::Bram;
+use crate::machine::RunError;
+use crate::predecode::Predecoded;
+use crate::{Bram, MemError};
 
 /// Maximum instructions fused into one block. Bounds both the
 /// invalidation back-scan and how much budget a slice must have left
@@ -195,17 +198,25 @@ impl Block {
     pub fn span_words(&self) -> usize {
         self.ops.len() + usize::from(self.guard.is_some())
     }
+
+    /// Whether dispatch can retire it: a block with no ops and no guard
+    /// is cached only so the builder does not retry its head.
+    fn dispatchable(&self) -> bool {
+        !self.ops.is_empty() || self.guard.is_some()
+    }
 }
 
-/// The block store's two parallel per-word tables, frozen and shared as
-/// one unit: the built blocks and the learned OPB-touching words. They
-/// invalidate together ([`BlockStore::invalidate_words`] clears both),
-/// so a copy-on-patch detach must copy both or neither.
+/// The program store's per-word table, frozen and shared as one unit:
+/// pre-decoded slots, built blocks, and learned OPB-touching words, all
+/// indexed by `pc >> 2` and covering the words used so far. A write
+/// clears all three for the written words, so a copy-on-patch detach
+/// copies them together.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Tables {
-    /// Block starting at word index `w` (`pc >> 2`); `None` = not built.
-    /// Unbuildable entries cache an empty block so hot dispatch does not
-    /// retry them.
+    /// The prepared instruction at each word; `None` = not decoded yet.
+    slots: Vec<Option<Predecoded>>,
+    /// Block entered at each word; `None` = not built. Unbuildable
+    /// entries cache an empty block so hot dispatch does not retry them.
     blocks: Vec<Option<Arc<Block>>>,
     /// Words whose instruction was observed touching the OPB window:
     /// blocks end before them, so peripheral accesses (and the exit-port
@@ -213,177 +224,181 @@ pub(crate) struct Tables {
     opb: Vec<bool>,
 }
 
-/// Lazily-built block table for one instruction BRAM, keyed by entry PC.
+/// Drops every block overlapping the words `lo..hi`. A block spans at
+/// most [`MAX_BLOCK_OPS`] body words plus one guard word, so the
+/// back-scan is bounded — and a write landing on a trace's guard word
+/// drops the whole chained trace, never leaving a stale loop shape
+/// behind.
+fn drop_blocks_over(blocks: &mut [Option<Arc<Block>>], lo: usize, hi: usize) {
+    let start = lo.saturating_sub(MAX_BLOCK_OPS);
+    for (w, block) in (start..).zip(&mut blocks[start..lo]) {
+        if block.as_ref().is_some_and(|b| w + b.span_words() > lo) {
+            *block = None;
+        }
+    }
+    blocks[lo..hi].fill(None);
+}
+
+/// The derived program store for one instruction BRAM: slots and
+/// blocks are filled lazily on first use, and [`write`](Self::write)
+/// invalidates exactly what a write to instruction memory makes stale.
 #[derive(Debug)]
-pub(crate) struct BlockStore {
-    /// The per-word block and OPB tables (possibly a shared image view).
-    store: Shareable<Tables>,
-    /// The [`Bram::generation`] the table was built against.
-    generation: u64,
+pub(crate) struct ProgramStore {
+    /// The per-word table (possibly a shared image view), grown to
+    /// cover each word as it is first used.
+    tables: Shareable<Tables>,
     /// Whether the builder chains backward branches into loop-trace
     /// guards (see [`crate::MbConfig::traces`]).
     chain: bool,
+    /// Slow-path decodes performed (observability for the invalidation
+    /// tests: a patch must re-decode only the words it wrote).
+    pub(crate) prepared: u64,
     /// Blocks constructed (observability for invalidation tests).
     pub(crate) built: u64,
 }
 
-impl BlockStore {
-    /// Creates an empty store that syncs to the BRAM on first use.
-    /// `chain` enables guard chaining across backward branches.
+impl ProgramStore {
+    /// Creates an empty store; `chain` enables guard chaining across
+    /// backward branches.
     pub fn new(chain: bool) -> Self {
-        BlockStore {
-            store: Shareable::Owned(Tables::default()),
-            generation: u64::MAX,
-            chain,
-            built: 0,
-        }
+        ProgramStore { tables: Shareable::Owned(Tables::default()), chain, prepared: 0, built: 0 }
     }
 
-    /// Brings the tables fully in sync with `imem` (normally lazy on the
-    /// next dispatch) — the pre-freeze step of an image capture.
-    pub fn sync(&mut self, imem: &Bram) {
-        if self.generation != imem.generation() {
-            self.resync(imem);
-        }
-    }
-
-    /// Freezes the built tables into a shareable read-only pair and
-    /// switches this store to the shared view (see [`Bram::freeze`]).
+    /// Freezes the table into a shareable read-only value and switches
+    /// this store to the shared view (see [`Bram::freeze`]).
     pub fn freeze(&mut self) -> Arc<Tables> {
-        self.store.freeze()
+        self.tables.freeze()
     }
 
-    /// Replaces the tables with a shared fully-built pair captured at
-    /// `generation` (against the same program words this store's BRAM
-    /// now holds). The next mutation detaches a private copy.
-    pub fn attach_shared(&mut self, tables: Arc<Tables>, generation: u64) {
-        self.store = Shareable::Shared(tables);
-        self.generation = generation;
+    /// Replaces the table with a shared one captured against the
+    /// program words this store's BRAM now holds. The next mutation
+    /// detaches a private copy.
+    pub fn attach_shared(&mut self, tables: Arc<Tables>) {
+        self.tables = Shareable::Shared(tables);
+    }
+
+    /// The owned table, grown to cover word `w`. Growing on use sizes
+    /// the table to the words the program touches, not the whole BRAM,
+    /// which keeps a copy-on-patch detach small; and a pooled session,
+    /// which attaches an image right after creating its system,
+    /// allocates nothing here.
+    fn tables_mut(&mut self, w: usize) -> &mut Tables {
+        let t = self.tables.make_owned();
+        if t.slots.len() <= w {
+            t.slots.resize(w + 1, None);
+            t.blocks.resize(w + 1, None);
+            t.opb.resize(w + 1, false);
+        }
+        t
+    }
+
+    /// Writes `words` into `imem` from byte address `addr` and
+    /// invalidates the written words' slots and learned OPB flags and
+    /// every block overlapping them. Nothing else goes stale: every
+    /// other slot and block was derived from words this write left
+    /// alone.
+    pub fn write(&mut self, imem: &mut Bram, addr: u32, words: &[u32]) -> Result<(), MemError> {
+        imem.load_words(addr, words)?;
+        // Every word a slot or block was derived from lies inside the
+        // table, so words past its end invalidate nothing.
+        let covered = self.tables.get().slots.len();
+        let lo = (addr >> 2) as usize;
+        let hi = (lo + words.len()).min(covered);
+        if lo >= hi {
+            return Ok(());
+        }
+        let t = self.tables.make_owned();
+        drop_blocks_over(&mut t.blocks, lo, hi);
+        t.slots[lo..hi].fill(None);
+        t.opb[lo..hi].fill(false);
+        Ok(())
+    }
+
+    /// Fetches the prepared instruction at `pc`, decoding and caching on
+    /// the first visit.
+    #[inline]
+    pub fn fetch(
+        &mut self,
+        imem: &Bram,
+        features: &MbFeatures,
+        pc: u32,
+    ) -> Result<Predecoded, RunError> {
+        if pc & 3 == 0 {
+            if let Some(Some(d)) = self.tables.get().slots.get((pc >> 2) as usize) {
+                return Ok(*d);
+            }
+        }
+        self.fetch_slow(imem, features, pc)
+    }
+
+    #[cold]
+    fn fetch_slow(
+        &mut self,
+        imem: &Bram,
+        features: &MbFeatures,
+        pc: u32,
+    ) -> Result<Predecoded, RunError> {
+        let word = imem.read_word(pc).map_err(|err| RunError::Mem { pc, err })?;
+        let insn = decode(word).map_err(|err| RunError::Decode { pc, err })?;
+        let d = Predecoded::prepare(insn, features);
+        let w = (pc >> 2) as usize;
+        self.tables_mut(w).slots[w] = Some(d);
+        self.prepared += 1;
+        Ok(d)
     }
 
     /// Returns the (possibly freshly built) non-empty block entered at
     /// `pc`, or `None` when no fusable straight-line run starts there.
-    pub fn block_at(
-        &mut self,
-        decode: &mut DecodeCache,
-        imem: &Bram,
-        features: &MbFeatures,
-        pc: u32,
-    ) -> Option<Arc<Block>> {
+    pub fn block_at(&mut self, imem: &Bram, features: &MbFeatures, pc: u32) -> Option<Arc<Block>> {
         if pc & 3 != 0 {
             return None; // misaligned fetch: let `step` fault
         }
-        if self.generation != imem.generation() {
-            self.resync(imem);
-        }
         let w = (pc >> 2) as usize;
-        match self.store.get().blocks.get(w)? {
-            Some(b) => {
-                // A block with no ops and no guard retires nothing:
-                // cached as "unbuildable" so dispatch falls to `step`.
-                if b.ops.is_empty() && b.guard.is_none() {
-                    None
-                } else {
-                    Some(Arc::clone(b))
-                }
-            }
-            None => {
-                let b = Arc::new(self.build(decode, imem, features, pc));
-                self.built += 1;
-                let useful = (!b.ops.is_empty() || b.guard.is_some()).then(|| Arc::clone(&b));
-                self.store.make_owned().blocks[w] = Some(b);
-                useful
-            }
+        if let Some(Some(b)) = self.tables.get().blocks.get(w) {
+            return b.dispatchable().then(|| Arc::clone(b));
         }
+        if w >= imem.words().len() {
+            return None;
+        }
+        let b = Arc::new(self.build(imem, features, pc));
+        self.built += 1;
+        let useful = b.dispatchable().then(|| Arc::clone(&b));
+        self.tables_mut(w).blocks[w] = Some(b);
+        useful
     }
 
     /// Records that the instruction at `pc` touched the OPB window and
     /// drops every block containing it, so rebuilt blocks end before it.
     ///
     /// Already-learned words return immediately: `opb[w]` set implies no
-    /// cached block contains `w` (the builder stops at OPB words, and
-    /// [`invalidate_words`](Self::invalidate_words) clears blocks and
-    /// OPB knowledge together), so there is nothing to drop — and, just
-    /// as important, re-learning a word must not detach a shared image
-    /// table on every peripheral access of every session.
+    /// cached block contains `w` (the builder stops at OPB words, and a
+    /// write clears blocks and OPB knowledge together), so there is
+    /// nothing to drop — and, just as important, re-learning a word must
+    /// not detach a shared image table on every peripheral access of
+    /// every session.
     pub fn learn_opb(&mut self, pc: u32) {
         let w = (pc >> 2) as usize;
-        let t = self.store.get();
-        if w < t.opb.len() && !t.opb[w] {
-            self.invalidate_words(w as u32, w as u32);
-            self.store.make_owned().opb[w] = true;
+        if !self.learned_opb(pc) {
+            let t = self.tables_mut(w);
+            drop_blocks_over(&mut t.blocks, w, w + 1);
+            t.opb[w] = true;
         }
     }
 
-    /// Re-syncs to the BRAM: incrementally when the write log bounds the
-    /// dirtied words, wholesale otherwise. Only reached after the BRAM
-    /// was written, so detaching a shared table here is the
-    /// copy-on-patch path, not steady state.
-    fn resync(&mut self, imem: &Bram) {
-        let words = imem.words().len();
-        let dirty = if self.store.get().blocks.len() == words {
-            imem.dirty_words_since(self.generation)
-        } else {
-            None
-        };
-        match dirty {
-            Some((lo, hi)) => self.invalidate_words(lo, hi),
-            None => {
-                let t = self.store.make_owned();
-                t.blocks.clear();
-                t.blocks.resize(words, None);
-                t.opb.clear();
-                t.opb.resize(words, false);
-            }
-        }
-        self.generation = imem.generation();
-    }
-
-    /// Drops every block overlapping the inclusive word range and
-    /// forgets OPB knowledge for the range itself (the patched words may
-    /// no longer touch the bus). A block spans at most [`MAX_BLOCK_OPS`]
-    /// body words plus one guard word, so the back-scan is bounded —
-    /// and a patch landing on a trace's guard word drops the whole
-    /// chained trace, never leaving a stale loop shape behind.
-    fn invalidate_words(&mut self, lo: u32, hi: u32) {
-        if self.store.get().blocks.is_empty() {
-            return;
-        }
-        let t = self.store.make_owned();
-        let lo = lo as usize;
-        let hi = (hi as usize).min(t.blocks.len() - 1);
-        let start = lo.saturating_sub(MAX_BLOCK_OPS);
-        for w in start..lo {
-            if t.blocks[w].as_ref().is_some_and(|b| w + b.span_words() > lo) {
-                t.blocks[w] = None;
-            }
-        }
-        for w in lo..=hi {
-            t.blocks[w] = None;
-            t.opb[w] = false;
-        }
+    /// Whether the instruction at `pc` was learned to touch the OPB.
+    fn learned_opb(&self, pc: u32) -> bool {
+        self.tables.get().opb.get((pc >> 2) as usize).is_some_and(|&opb| opb)
     }
 
     /// Builds the block entered at `pc` (possibly empty): collect the
     /// straight-line run of predecoded slots, then lower it with static
     /// `imm`-prefix fusion. With chaining on, a run ending at a
     /// non-delay backward `bci`/`bri` fuses that branch as the guard.
-    fn build(
-        &self,
-        decode: &mut DecodeCache,
-        imem: &Bram,
-        features: &MbFeatures,
-        head: u32,
-    ) -> Block {
-        let t = self.store.get();
+    fn build(&mut self, imem: &Bram, features: &MbFeatures, head: u32) -> Block {
         let mut raw: Vec<Predecoded> = Vec::new();
         let mut pc = head;
-        while raw.len() < MAX_BLOCK_OPS {
-            let w = (pc >> 2) as usize;
-            if w >= t.blocks.len() || t.opb[w] {
-                break;
-            }
-            let Ok(d) = decode.fetch(imem, features, pc) else { break };
+        while raw.len() < MAX_BLOCK_OPS && !self.learned_opb(pc) {
+            let Ok(d) = self.fetch(imem, features, pc) else { break };
             if d.control_flow || !d.supported {
                 break;
             }
@@ -391,13 +406,10 @@ impl BlockStore {
             pc = pc.wrapping_add(4);
         }
         let mut guard_slot = None;
-        if self.chain {
-            let w = (pc >> 2) as usize;
-            if w < t.blocks.len() && !t.opb[w] {
-                if let Ok(d) = decode.fetch(imem, features, pc) {
-                    if d.control_flow && d.supported {
-                        guard_slot = Some((d, pc));
-                    }
+        if self.chain && !self.learned_opb(pc) {
+            if let Ok(d) = self.fetch(imem, features, pc) {
+                if d.control_flow && d.supported {
+                    guard_slot = Some((d, pc));
                 }
             }
         }
@@ -560,41 +572,102 @@ mod tests {
     }
 
     /// Unchained store (PR 5 semantics: blocks end at control flow).
-    fn store_with(words: &[Insn]) -> (BlockStore, DecodeCache, Bram) {
-        let (_, decode, imem) = chained_store_with(words);
-        (BlockStore::new(false), decode, imem)
+    fn store_with(words: &[Insn]) -> (ProgramStore, Bram) {
+        let (_, imem) = chained_store_with(words);
+        (ProgramStore::new(false), imem)
     }
 
     /// Chaining store: backward branches fuse into loop-trace guards.
-    fn chained_store_with(words: &[Insn]) -> (BlockStore, DecodeCache, Bram) {
-        let mut imem = Bram::new(4 * 256).with_write_log();
-        for (i, insn) in words.iter().enumerate() {
-            imem.write_word((i as u32) * 4, encode(insn)).unwrap();
+    fn chained_store_with(words: &[Insn]) -> (ProgramStore, Bram) {
+        let mut store = ProgramStore::new(true);
+        let mut imem = Bram::new(4 * 256);
+        let words: Vec<u32> = words.iter().map(encode).collect();
+        store.write(&mut imem, 0, &words).unwrap();
+        (store, imem)
+    }
+
+    #[test]
+    fn caches_and_invalidates_on_write() {
+        let add = Insn::addk(Reg::R1, Reg::R2, Reg::R3);
+        let (mut store, mut imem) = store_with(&[add]);
+        assert_eq!(store.fetch(&imem, &features(), 0).unwrap().insn, add);
+        // Cached: same answer without consulting the word again.
+        assert_eq!(store.fetch(&imem, &features(), 0).unwrap().insn, add);
+
+        // A write invalidates the written word; the new word decodes.
+        let xor = Insn::Xor { rd: Reg::R4, ra: Reg::R5, rb: Reg::R6 };
+        store.write(&mut imem, 0, &[encode(&xor)]).unwrap();
+        assert_eq!(store.fetch(&imem, &features(), 0).unwrap().insn, xor);
+    }
+
+    #[test]
+    fn write_invalidates_only_the_written_slots() {
+        let (mut store, mut imem) = store_with(&[Insn::addk(Reg::R1, Reg::R2, Reg::R3); 4]);
+        for w in 0..4u32 {
+            store.fetch(&imem, &features(), w * 4).unwrap();
         }
-        (BlockStore::new(true), DecodeCache::new(), imem)
+        let prepared = store.prepared;
+
+        // Patch one word: only that slot re-decodes.
+        let xor = Insn::Xor { rd: Reg::R4, ra: Reg::R5, rb: Reg::R6 };
+        store.write(&mut imem, 0, &[encode(&xor)]).unwrap();
+        for w in 0..4u32 {
+            store.fetch(&imem, &features(), w * 4).unwrap();
+        }
+        assert_eq!(store.fetch(&imem, &features(), 0).unwrap().insn, xor);
+        assert_eq!(store.prepared, prepared + 1, "incremental invalidation must spare the rest");
+    }
+
+    #[test]
+    fn shared_slots_serve_fetches_and_detach_on_patch() {
+        let add = Insn::addk(Reg::R1, Reg::R2, Reg::R3);
+        let (mut warm, mut imem) = store_with(&[add]);
+        warm.fetch(&imem, &features(), 0).unwrap();
+        let table = warm.freeze();
+
+        let mut store = ProgramStore::new(false);
+        store.attach_shared(Arc::clone(&table));
+        assert_eq!(store.fetch(&imem, &features(), 0).unwrap().insn, add);
+        assert_eq!(store.prepared, 0, "a shared table must serve without slow-path decodes");
+
+        // A patch detaches this store's private copy; the frozen table
+        // (and every sibling attached to it) keeps the original slot.
+        let xor = Insn::Xor { rd: Reg::R4, ra: Reg::R5, rb: Reg::R6 };
+        store.write(&mut imem, 0, &[encode(&xor)]).unwrap();
+        assert_eq!(store.fetch(&imem, &features(), 0).unwrap().insn, xor);
+        assert_eq!(store.prepared, 1, "only the patched slot re-decodes");
+        assert_eq!(table.slots[0].map(|d| d.insn), Some(add), "the frozen table must never change");
+    }
+
+    #[test]
+    fn faults_match_direct_decode() {
+        let imem = Bram::new(16);
+        let mut store = ProgramStore::new(false);
+        assert!(matches!(store.fetch(&imem, &features(), 2), Err(RunError::Mem { pc: 2, .. })));
+        assert!(matches!(store.fetch(&imem, &features(), 64), Err(RunError::Mem { pc: 64, .. })));
     }
 
     #[test]
     fn block_ends_before_control_flow() {
-        let (mut store, mut decode, imem) = store_with(&[
+        let (mut store, imem) = store_with(&[
             Insn::addk(Reg::R1, Reg::R2, Reg::R3),
             Insn::Xor { rd: Reg::R4, ra: Reg::R5, rb: Reg::R6 },
             Insn::Bci { cond: mb_isa::Cond::Ne, ra: Reg::R3, imm: -8, delay: false },
         ]);
-        let b = store.block_at(&mut decode, &imem, &features(), 0).unwrap();
+        let b = store.block_at(&imem, &features(), 0).unwrap();
         assert_eq!(b.ops.len(), 2);
         assert_eq!(b.cycles, 2);
         assert_eq!(b.class_insns[OpClass::Alu.index()], 2);
         // A block entered *at* the branch is unbuildable (cached empty).
-        assert!(store.block_at(&mut decode, &imem, &features(), 8).is_none());
+        assert!(store.block_at(&imem, &features(), 8).is_none());
         let built = store.built;
-        assert!(store.block_at(&mut decode, &imem, &features(), 8).is_none());
+        assert!(store.block_at(&imem, &features(), 8).is_none());
         assert_eq!(store.built, built, "empty blocks must be cached, not rebuilt");
     }
 
     #[test]
     fn interior_imm_fuses_into_its_consumer() {
-        let (mut store, mut decode, imem) = store_with(&[
+        let (mut store, imem) = store_with(&[
             Insn::Imm { imm: 0x1234u16 as i16 },
             Insn::Addi {
                 rd: Reg::R1,
@@ -605,7 +678,7 @@ mod tests {
             },
             Insn::ret(),
         ]);
-        let b = store.block_at(&mut decode, &imem, &features(), 0).unwrap();
+        let b = store.block_at(&imem, &features(), 0).unwrap();
         assert!(matches!(b.ops[0].effect, Effect::ImmFused { hi } if hi == 0x1234u16 as i16));
         match b.ops[1].effect {
             Effect::AddImm { imm, .. } => assert_eq!(imm, 0x1234_5678),
@@ -618,46 +691,46 @@ mod tests {
 
     #[test]
     fn trailing_imm_escapes_to_the_prefix_register() {
-        let (mut store, mut decode, imem) = store_with(&[
+        let (mut store, imem) = store_with(&[
             Insn::addk(Reg::R1, Reg::R2, Reg::R3),
             Insn::Imm { imm: 7 },
             Insn::Bci { cond: mb_isa::Cond::Ne, ra: Reg::R3, imm: -8, delay: false },
         ]);
-        let b = store.block_at(&mut decode, &imem, &features(), 0).unwrap();
+        let b = store.block_at(&imem, &features(), 0).unwrap();
         assert_eq!(b.ops.len(), 2);
         assert!(matches!(b.ops[1].effect, Effect::ImmTrailing { hi: 7 }));
     }
 
     #[test]
     fn unsupported_slots_end_the_block() {
-        let (mut store, mut decode, imem) = store_with(&[
+        let (mut store, imem) = store_with(&[
             Insn::addk(Reg::R1, Reg::R2, Reg::R3),
             Insn::Idiv { rd: Reg::R1, ra: Reg::R2, rb: Reg::R3, unsigned: false },
         ]);
         // paper_default has no divider: the block must stop before idiv.
-        let b = store.block_at(&mut decode, &imem, &features(), 0).unwrap();
+        let b = store.block_at(&imem, &features(), 0).unwrap();
         assert_eq!(b.ops.len(), 1);
     }
 
     #[test]
     fn learned_opb_pcs_split_blocks() {
-        let (mut store, mut decode, imem) = store_with(&[
+        let (mut store, imem) = store_with(&[
             Insn::addk(Reg::R1, Reg::R2, Reg::R3),
             Insn::swi(Reg::R0, Reg::R31, 0),
             Insn::addk(Reg::R4, Reg::R5, Reg::R6),
             Insn::ret(),
         ]);
-        let b = store.block_at(&mut decode, &imem, &features(), 0).unwrap();
+        let b = store.block_at(&imem, &features(), 0).unwrap();
         assert_eq!(b.ops.len(), 3, "an unlearned store is fused optimistically");
         store.learn_opb(4);
-        let b = store.block_at(&mut decode, &imem, &features(), 0).unwrap();
+        let b = store.block_at(&imem, &features(), 0).unwrap();
         assert_eq!(b.ops.len(), 1, "rebuilt block must end before the OPB store");
-        assert!(store.block_at(&mut decode, &imem, &features(), 4).is_none());
+        assert!(store.block_at(&imem, &features(), 4).is_none());
     }
 
     #[test]
     fn shared_tables_serve_blocks_and_relearn_without_detaching() {
-        let (mut store, mut decode, imem) = store_with(&[
+        let (mut store, imem) = store_with(&[
             Insn::addk(Reg::R1, Reg::R2, Reg::R3),
             Insn::swi(Reg::R0, Reg::R31, 0),
             Insn::addk(Reg::R4, Reg::R5, Reg::R6),
@@ -665,30 +738,29 @@ mod tests {
         ]);
         // Warm the store the way an image build does: run shape learned,
         // blocks rebuilt to end before the OPB word.
-        store.block_at(&mut decode, &imem, &features(), 0);
+        store.block_at(&imem, &features(), 0);
         store.learn_opb(4);
-        assert_eq!(store.block_at(&mut decode, &imem, &features(), 0).unwrap().ops.len(), 1);
-        store.block_at(&mut decode, &imem, &features(), 8);
-        store.sync(&imem);
+        assert_eq!(store.block_at(&imem, &features(), 0).unwrap().ops.len(), 1);
+        store.block_at(&imem, &features(), 8);
         let tables = store.freeze();
 
-        let mut fresh = BlockStore::new(false);
-        fresh.attach_shared(Arc::clone(&tables), imem.generation());
-        let b = fresh.block_at(&mut decode, &imem, &features(), 0).unwrap();
+        let mut fresh = ProgramStore::new(false);
+        fresh.attach_shared(Arc::clone(&tables));
+        let b = fresh.block_at(&imem, &features(), 0).unwrap();
         assert_eq!(b.ops.len(), 1, "the shared table serves the learned shape");
         assert_eq!(fresh.built, 0, "a warm image needs no lazy builds");
 
         // Re-learning an already-learned OPB word — every session's exit
         // store does this — must not detach the shared tables.
         fresh.learn_opb(4);
-        assert!(fresh.store.is_shared(), "re-learning must stay shared");
+        assert!(fresh.tables.is_shared(), "re-learning must stay shared");
 
         // Learning a genuinely new word detaches a private copy and
         // leaves the image (and the sibling still attached) intact.
         fresh.learn_opb(8);
-        assert!(!fresh.store.is_shared());
-        assert!(fresh.block_at(&mut decode, &imem, &features(), 8).is_none());
-        let sibling = store.block_at(&mut decode, &imem, &features(), 8).unwrap();
+        assert!(!fresh.tables.is_shared());
+        assert!(fresh.block_at(&imem, &features(), 8).is_none());
+        let sibling = store.block_at(&imem, &features(), 8).unwrap();
         assert_eq!(sibling.ops.len(), 1, "the frozen image must never change");
     }
 
@@ -698,25 +770,27 @@ mod tests {
         insns.push(Insn::ret()); // terminator so the first block is bounded
         insns.extend(vec![Insn::addk(Reg::R4, Reg::R5, Reg::R6); 4]);
         insns.push(Insn::ret());
-        let (mut store, mut decode, mut imem) = store_with(&insns);
-        assert_eq!(store.block_at(&mut decode, &imem, &features(), 0).unwrap().ops.len(), 8);
-        assert_eq!(store.block_at(&mut decode, &imem, &features(), 36).unwrap().ops.len(), 4);
+        let (mut store, mut imem) = store_with(&insns);
+        assert_eq!(store.block_at(&imem, &features(), 0).unwrap().ops.len(), 8);
+        assert_eq!(store.block_at(&imem, &features(), 36).unwrap().ops.len(), 4);
         let built = store.built;
 
         // Patch word 2: the block at 0 dies (it contains word 2), the
         // one at word 9 survives.
-        imem.write_word(8, encode(&Insn::Xor { rd: Reg::R7, ra: Reg::R1, rb: Reg::R2 })).unwrap();
-        assert!(store.block_at(&mut decode, &imem, &features(), 36).is_some());
+        store
+            .write(&mut imem, 8, &[encode(&Insn::Xor { rd: Reg::R7, ra: Reg::R1, rb: Reg::R2 })])
+            .unwrap();
+        assert!(store.block_at(&imem, &features(), 36).is_some());
         assert_eq!(store.built, built, "non-overlapping block must survive the patch");
-        let b = store.block_at(&mut decode, &imem, &features(), 0).unwrap();
+        let b = store.block_at(&imem, &features(), 0).unwrap();
         assert_eq!(store.built, built + 1, "overlapping block must rebuild");
         assert!(matches!(b.ops[2].effect, Effect::Xor { .. }));
     }
 
     #[test]
     fn misaligned_pc_yields_no_block() {
-        let (mut store, mut decode, imem) = store_with(&[Insn::addk(Reg::R1, Reg::R2, Reg::R3)]);
-        assert!(store.block_at(&mut decode, &imem, &features(), 2).is_none());
+        let (mut store, imem) = store_with(&[Insn::addk(Reg::R1, Reg::R2, Reg::R3)]);
+        assert!(store.block_at(&imem, &features(), 2).is_none());
     }
 
     fn bnei_back(words: i32) -> Insn {
@@ -725,12 +799,12 @@ mod tests {
 
     #[test]
     fn backward_branch_chains_into_a_loop_guard() {
-        let (mut store, mut decode, imem) = chained_store_with(&[
+        let (mut store, imem) = chained_store_with(&[
             Insn::addk(Reg::R1, Reg::R2, Reg::R3),
             Insn::addik(Reg::R3, Reg::R3, -1),
             bnei_back(2),
         ]);
-        let b = store.block_at(&mut decode, &imem, &features(), 0).unwrap();
+        let b = store.block_at(&imem, &features(), 0).unwrap();
         assert_eq!(b.ops.len(), 2);
         assert_eq!(b.cycles, 2, "guard cycles stay out of the body cost");
         let g = b.guard.expect("backward bnei must chain");
@@ -743,14 +817,14 @@ mod tests {
     #[test]
     fn guard_only_self_loop_is_dispatchable() {
         // `spin: bri spin` — empty body, guard targeting itself.
-        let (mut store, mut decode, imem) = chained_store_with(&[Insn::Bri {
+        let (mut store, imem) = chained_store_with(&[Insn::Bri {
             rd: Reg::R0,
             imm: 0,
             link: false,
             absolute: false,
             delay: false,
         }]);
-        let b = store.block_at(&mut decode, &imem, &features(), 0).unwrap();
+        let b = store.block_at(&imem, &features(), 0).unwrap();
         assert!(b.ops.is_empty());
         let g = b.guard.unwrap();
         assert_eq!(g.target, 0);
@@ -760,27 +834,27 @@ mod tests {
     #[test]
     fn forward_register_target_and_delay_branches_never_chain() {
         // Forward bci: predicted not-taken, no loop shape.
-        let (mut store, mut decode, imem) = chained_store_with(&[
+        let (mut store, imem) = chained_store_with(&[
             Insn::addk(Reg::R1, Reg::R2, Reg::R3),
             Insn::Bci { cond: mb_isa::Cond::Ne, ra: Reg::R3, imm: 8, delay: false },
         ]);
-        let b = store.block_at(&mut decode, &imem, &features(), 0).unwrap();
+        let b = store.block_at(&imem, &features(), 0).unwrap();
         assert!(b.guard.is_none(), "forward branch must not chain");
 
         // Register-target br: dynamic target.
-        let (mut store, mut decode, imem) = chained_store_with(&[
+        let (mut store, imem) = chained_store_with(&[
             Insn::addk(Reg::R1, Reg::R2, Reg::R3),
             Insn::Br { rd: Reg::R0, rb: Reg::R5, link: false, absolute: false, delay: false },
         ]);
-        let b = store.block_at(&mut decode, &imem, &features(), 0).unwrap();
+        let b = store.block_at(&imem, &features(), 0).unwrap();
         assert!(b.guard.is_none(), "register-target branch must not chain");
 
         // Delay-slot bci: retirement spans two PCs.
-        let (mut store, mut decode, imem) = chained_store_with(&[
+        let (mut store, imem) = chained_store_with(&[
             Insn::addk(Reg::R1, Reg::R2, Reg::R3),
             Insn::Bci { cond: mb_isa::Cond::Ne, ra: Reg::R3, imm: -4, delay: true },
         ]);
-        let b = store.block_at(&mut decode, &imem, &features(), 0).unwrap();
+        let b = store.block_at(&imem, &features(), 0).unwrap();
         assert!(b.guard.is_none(), "delay-slot branch must not chain");
     }
 
@@ -789,12 +863,12 @@ mod tests {
         // imm 0xFFFF ++ bnei -8 resolves to a full 32-bit backward
         // displacement; the prefix is consumed statically so the imm
         // lowers to ImmFused, not ImmTrailing.
-        let (mut store, mut decode, imem) = chained_store_with(&[
+        let (mut store, imem) = chained_store_with(&[
             Insn::addk(Reg::R1, Reg::R2, Reg::R3),
             Insn::Imm { imm: -1 },
             bnei_back(2),
         ]);
-        let b = store.block_at(&mut decode, &imem, &features(), 0).unwrap();
+        let b = store.block_at(&imem, &features(), 0).unwrap();
         let g = b.guard.expect("prefix-resolved backward target must chain");
         assert_eq!(g.target, 0);
         assert!(matches!(b.ops[1].effect, Effect::ImmFused { hi: -1 }));
@@ -804,12 +878,12 @@ mod tests {
     fn trailing_imm_stays_architectural_when_the_guard_is_rejected() {
         // The same shape but the prefix makes the target *forward*: no
         // guard, so the imm must escape to the real prefix register.
-        let (mut store, mut decode, imem) = chained_store_with(&[
+        let (mut store, imem) = chained_store_with(&[
             Insn::addk(Reg::R1, Reg::R2, Reg::R3),
             Insn::Imm { imm: 1 },
             bnei_back(2),
         ]);
-        let b = store.block_at(&mut decode, &imem, &features(), 0).unwrap();
+        let b = store.block_at(&imem, &features(), 0).unwrap();
         assert!(b.guard.is_none());
         assert!(matches!(b.ops[1].effect, Effect::ImmTrailing { hi: 1 }));
     }
@@ -821,28 +895,28 @@ mod tests {
         // the invalidation back-scan covers body + guard.
         let mut insns = vec![Insn::addk(Reg::R1, Reg::R2, Reg::R3); MAX_BLOCK_OPS];
         insns.push(bnei_back(MAX_BLOCK_OPS as i32));
-        let (mut store, mut decode, mut imem) = chained_store_with(&insns);
-        let b = store.block_at(&mut decode, &imem, &features(), 0).unwrap();
+        let (mut store, mut imem) = chained_store_with(&insns);
+        let b = store.block_at(&imem, &features(), 0).unwrap();
         assert_eq!(b.ops.len(), MAX_BLOCK_OPS);
         assert!(b.guard.is_some());
         let built = store.built;
 
         let guard_pc = 4 * MAX_BLOCK_OPS as u32;
-        imem.write_word(guard_pc, encode(&Insn::ret())).unwrap();
-        let b = store.block_at(&mut decode, &imem, &features(), 0).unwrap();
+        store.write(&mut imem, guard_pc, &[encode(&Insn::ret())]).unwrap();
+        let b = store.block_at(&imem, &features(), 0).unwrap();
         assert_eq!(store.built, built + 1, "guard-word patch must rebuild the trace");
         assert!(b.guard.is_none(), "rtsd (delay slot) must not chain");
     }
 
     #[test]
     fn unchained_store_never_builds_guards() {
-        let (mut store, mut decode, imem) = store_with(&[
+        let (mut store, imem) = store_with(&[
             Insn::addk(Reg::R1, Reg::R2, Reg::R3),
             Insn::addik(Reg::R3, Reg::R3, -1),
             bnei_back(2),
         ]);
-        let b = store.block_at(&mut decode, &imem, &features(), 0).unwrap();
+        let b = store.block_at(&imem, &features(), 0).unwrap();
         assert!(b.guard.is_none());
-        assert!(store.block_at(&mut decode, &imem, &features(), 8).is_none());
+        assert!(store.block_at(&imem, &features(), 8).is_none());
     }
 }

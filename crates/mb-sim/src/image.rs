@@ -1,41 +1,41 @@
 //! Frozen, shareable per-program artifacts.
 //!
 //! A serving fleet runs thousands of sessions of the *same* program:
-//! the instruction words, the pre-decoded slot table, and the
-//! block/trace store are pure functions of the program bytes and the
+//! the instruction words and the derived table of pre-decoded slots and
+//! block/trace shapes are pure functions of the program bytes and the
 //! machine configuration, yet every fresh [`System`] used to rebuild
-//! all three from scratch. A [`ProgramImage`] captures them once from a
+//! both from scratch. A [`ProgramImage`] captures them once from a
 //! warmed system and lets any number of sibling systems attach them as
 //! read-only shared views.
 //!
-//! Sharing is copy-on-patch, not read-only-forever: the first `imem`
-//! write of an attached system (the DPM hot-patching the running
-//! binary) detaches a private copy of the words, and the derived
-//! stores detach on their first post-patch invalidation — so a warping
-//! session never perturbs its siblings, and execution is bit-identical
-//! to a system that owned private stores all along (the stores'
-//! contents are identical; only the storage is shared).
+//! Sharing is copy-on-patch, not read-only-forever: the first
+//! [`System::write_imem`] of an attached system (the DPM hot-patching
+//! the running binary) detaches private copies of the words and the
+//! table as it invalidates the written words — so a warping session
+//! never perturbs its siblings, and execution is bit-identical to a
+//! system that owned private stores all along (the contents are
+//! identical; only the storage is shared).
 //!
 //! [`System`]: crate::System
+//! [`System::write_imem`]: crate::System::write_imem
 
 use std::sync::Arc;
 
 use crate::block::Tables;
-use crate::predecode::Predecoded;
 
 /// The immutable per-program artifacts many [`System`]s share: program
-/// words, pre-decoded slots, and built block/trace tables, frozen at
-/// one instruction-memory generation.
+/// words plus the per-word table of pre-decoded slots, built
+/// block/trace shapes, and learned OPB words derived from them.
 ///
 /// Capture with [`System::capture_image`] from a system that has been
-/// prewarmed and run to completion (so the block tables hold the
+/// prewarmed and run to completion (so the table holds the
 /// *learned* shapes — OPB splits included); attach to fresh systems,
 /// or to one rerunning in place, with [`System::attach_image`]. The
 /// image must only be attached to systems with the same configuration
 /// it was captured under — the slot latencies and block shapes bake in
 /// the feature set and trace-chaining flag.
 ///
-/// Cloning is cheap (three `Arc`s), and the image is `Send + Sync`: a
+/// Cloning is cheap (two `Arc`s), and the image is `Send + Sync`: a
 /// fleet-wide image store hands the same image to every worker.
 ///
 /// [`System`]: crate::System
@@ -44,9 +44,7 @@ use crate::predecode::Predecoded;
 #[derive(Clone, Debug)]
 pub struct ProgramImage {
     pub(crate) entry_pc: u32,
-    pub(crate) generation: u64,
     pub(crate) words: Arc<Vec<u32>>,
-    pub(crate) slots: Arc<Vec<Option<Predecoded>>>,
     pub(crate) tables: Arc<Tables>,
 }
 
@@ -64,8 +62,8 @@ impl ProgramImage {
     }
 }
 
-/// One of a system's image-backed stores (instruction words, decode
-/// slots, block tables): privately owned, or a read-only view shared
+/// One of a system's image-backed stores (instruction words, or the
+/// program store's table): privately owned, or a read-only view shared
 /// with a [`ProgramImage`] and its sibling systems. Reads branch once on
 /// the variant — deliberately *not* `Arc::make_mut` per write, which
 /// would put an atomic refcount probe on the simulated store path of
@@ -209,10 +207,7 @@ mod tests {
         // Hot-patch the loop body in one sibling: addik r4, r4, 3
         // becomes addik r4, r4, 5.
         let pc = 4;
-        patched
-            .imem_mut()
-            .write_word(pc, mb_isa::encode(&Insn::addik(Reg::R4, Reg::R4, 5)))
-            .unwrap();
+        patched.write_imem(pc, &[mb_isa::encode(&Insn::addik(Reg::R4, Reg::R4, 5))]).unwrap();
         assert!(!patched.imem().is_shared(), "the patch must detach a private copy");
         assert!(sibling.imem().is_shared(), "the sibling must keep the shared view");
 

@@ -5,10 +5,10 @@ use std::fmt;
 
 use mb_isa::{decode, DecodeError, Insn, MemSize, Program};
 
-use crate::block::{Block, BlockOp, BlockStore, Effect, Guard};
+use crate::block::{Block, BlockOp, Effect, Guard, ProgramStore};
 use crate::image::ProgramImage;
 use crate::periph::{OpbBus, Peripheral, EXIT_PORT_BASE, OPB_BASE};
-use crate::predecode::{DecodeCache, Predecoded};
+use crate::predecode::Predecoded;
 use crate::sink::{BlockRetire, NullSink, TraceSink};
 use crate::trace::{Trace, TraceEvent};
 use crate::{Bram, Cpu, ExecStats, ExitPort, MbConfig, MemError};
@@ -196,10 +196,9 @@ pub struct System {
     opb: OpbBus,
     stats: ExecStats,
     halted: Option<u32>,
-    /// Pre-decoded instruction store (see [`MbConfig::predecode`]).
-    decode: DecodeCache,
-    /// Fused superblock store (see [`MbConfig::blocks`]).
-    blocks: BlockStore,
+    /// Pre-decoded slots and fused blocks derived from `imem` (see
+    /// [`MbConfig::predecode`] and [`MbConfig::blocks`]).
+    store: ProgramStore,
     /// Reusable per-block event buffer (filled only for sinks whose
     /// [`TraceSink::WANTS_EVENTS`] is true).
     block_events: Vec<TraceEvent>,
@@ -217,15 +216,12 @@ impl System {
         opb.map(EXIT_PORT_BASE, 16, Box::new(ExitPort::new()));
         System {
             cpu: Cpu::new(),
-            // The instruction BRAM tracks written ranges so predecode
-            // and block invalidation after a patch stay incremental.
-            imem: Bram::new(config.imem_bytes).with_write_log(),
+            imem: Bram::new(config.imem_bytes),
             dmem: Bram::new(config.dmem_bytes),
             opb,
             stats: ExecStats::new(),
             halted: None,
-            decode: DecodeCache::new(),
-            blocks: BlockStore::new(config.traces),
+            store: ProgramStore::new(config.traces),
             block_events: Vec::new(),
             block_eas: Vec::new(),
             config,
@@ -261,8 +257,7 @@ impl System {
     ///
     /// Returns [`RunError::Mem`] if the program does not fit.
     pub fn load_program(&mut self, program: &Program) -> Result<(), RunError> {
-        self.imem
-            .load_words(program.base, &program.words)
+        self.write_imem(program.base, &program.words)
             .map_err(|err| RunError::Mem { pc: program.base, err })?;
         self.cpu.set_pc(program.base);
         Ok(())
@@ -299,17 +294,26 @@ impl System {
         &self.dmem
     }
 
-    /// The instruction BRAM (the DPM reads and patches it through the
-    /// dual-ported interface).
+    /// The instruction BRAM (the DPM reads it through the dual-ported
+    /// interface and patches it through [`System::write_imem`]).
     #[must_use]
     pub fn imem(&self) -> &Bram {
         &self.imem
     }
 
-    /// Mutable instruction BRAM — this is the interface the dynamic
-    /// partitioning module uses to patch the running binary.
-    pub fn imem_mut(&mut self) -> &mut Bram {
-        &mut self.imem
+    /// Writes `words` into instruction memory from byte address `addr`:
+    /// the one way to change the program, and the interface the dynamic
+    /// partitioning module patches the running binary through. The
+    /// written words' pre-decoded slots and every fused block
+    /// overlapping them are dropped here, so the next fetch or dispatch
+    /// sees the new code and everything else stays warm.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemError`] if `addr` is misaligned or the words do not
+    /// fit; nothing is written then.
+    pub fn write_imem(&mut self, addr: u32, words: &[u32]) -> Result<(), MemError> {
+        self.store.write(&mut self.imem, addr, words)
     }
 
     /// Accumulated execution statistics.
@@ -327,7 +331,7 @@ impl System {
     #[inline]
     fn fetch(&mut self, pc: u32) -> Result<Predecoded, RunError> {
         if self.config.predecode {
-            return self.decode.fetch(&self.imem, &self.config.features, pc);
+            return self.store.fetch(&self.imem, &self.config.features, pc);
         }
         // Decode-per-fetch reference path (the seed behavior), kept for
         // the fast-path equivalence tests and `simperf` baseline: every
@@ -705,8 +709,8 @@ impl System {
 
     /// Looks up (building lazily) the fused block entered at `pc`.
     fn block_at(&mut self, pc: u32) -> Option<std::sync::Arc<Block>> {
-        let System { blocks, decode, imem, config, .. } = self;
-        blocks.block_at(decode, imem, &config.features, pc)
+        let System { store, imem, config, .. } = self;
+        store.block_at(imem, &config.features, pc)
     }
 
     /// Executes one lowered block op at `pc`, returning its actual
@@ -1029,7 +1033,7 @@ impl System {
                             // contract), and split future blocks here.
                             self.flush_partial_block(b, i + 1, Some(cycles), &events, &eas, sink);
                             self.cpu.set_pc(pc);
-                            self.blocks.learn_opb(pc.wrapping_sub(4));
+                            self.store.learn_opb(pc.wrapping_sub(4));
                             if self.halted.is_none() {
                                 self.halted = self.opb.exit_request();
                             }
@@ -1180,16 +1184,16 @@ impl System {
         }
     }
 
-    /// Eagerly builds every derived store for the loaded instruction
-    /// image: pre-decodes each word and lowers the fused block (and
-    /// chained loop trace) at every possible entry point. Dispatch
-    /// normally builds these lazily on first touch; a long-running host
-    /// that wants predictable first-slice latency — or a benchmark
-    /// measuring steady-state engine throughput rather than one-time
-    /// lowering cost — calls this once after loading the program.
-    /// Execution is identical either way: the stores are keyed by the
-    /// instruction memory's generation and rebuild after a patch
-    /// exactly as lazily-built ones do. Zero words — BRAM padding
+    /// Eagerly fills the derived program store for the loaded
+    /// instruction image: pre-decodes each word and lowers the fused
+    /// block (and chained loop trace) at every possible entry point.
+    /// Dispatch normally builds these lazily on first touch; a
+    /// long-running host that wants predictable first-slice latency — or
+    /// a benchmark measuring steady-state engine throughput rather than
+    /// one-time lowering cost — calls this once after loading the
+    /// program. Execution is identical either way: a later
+    /// [`System::write_imem`] drops the same slots and blocks from an
+    /// eager store as from a lazy one. Zero words — BRAM padding
     /// beyond the loaded image — are skipped, as are words that do not
     /// decode; anything the skip misjudges is simply built lazily on
     /// first dispatch as before. A configuration without pre-decoded
@@ -1202,8 +1206,8 @@ impl System {
                 continue;
             }
             if self.config.predecode {
-                let System { decode, imem, config, .. } = self;
-                let _ = decode.fetch(imem, &config.features, pc);
+                let System { store, imem, config, .. } = self;
+                let _ = store.fetch(imem, &config.features, pc);
             }
             if self.blocks_enabled() {
                 let _ = self.block_at(pc);
@@ -1219,33 +1223,24 @@ impl System {
     /// Call on a *warmed* system: load the program, [`prewarm`], run it
     /// to completion once (so the block store has learned OPB store
     /// splits), and [`prewarm`] again (the learn invalidated the
-    /// exit-sequence block). The derived stores are synced here before
-    /// freezing, so a capture straight after a patch is also coherent —
-    /// but an unwarmed capture just bakes in empty tables that siblings
-    /// rebuild privately, losing the sharing win.
+    /// exit-sequence block). Writes invalidate the store as they land,
+    /// so a capture straight after a patch is also coherent — but an
+    /// unwarmed capture just bakes in an empty table that siblings
+    /// fill privately, losing the sharing win.
     ///
-    /// Freezing converts the live stores to shared mode in place; the
-    /// captured system keeps running and detaches private copies on its
-    /// next patch like any other sibling.
+    /// Freezing converts the live words and table to shared mode in
+    /// place; the captured system keeps running and detaches private
+    /// copies on its next patch like any other sibling.
     ///
     /// [`prewarm`]: System::prewarm
     pub fn capture_image(&mut self, entry_pc: u32) -> ProgramImage {
-        self.decode.sync(&self.imem);
-        self.blocks.sync(&self.imem);
-        let generation = self.imem.generation();
-        ProgramImage {
-            entry_pc,
-            generation,
-            words: self.imem.freeze(),
-            slots: self.decode.freeze(),
-            tables: self.blocks.freeze(),
-        }
+        ProgramImage { entry_pc, words: self.imem.freeze(), tables: self.store.freeze() }
     }
 
-    /// Attaches a captured [`ProgramImage`]: instruction memory,
-    /// pre-decoded slots, and block tables become shared read-only
+    /// Attaches a captured [`ProgramImage`]: instruction memory and the
+    /// table of pre-decoded slots and blocks become shared read-only
     /// views, and the PC points at the image's entry. The first
-    /// instruction-memory write detaches private copies (copy-on-patch),
+    /// [`System::write_imem`] detaches private copies (copy-on-patch),
     /// so hot-patching works exactly as with owned stores.
     ///
     /// Run state (registers, data memory, stats, peripherals) is
@@ -1259,9 +1254,8 @@ impl System {
             image.words.len() * 4,
             "image captured under a different imem geometry"
         );
-        self.imem.attach_shared(std::sync::Arc::clone(&image.words), image.generation);
-        self.decode.attach_shared(std::sync::Arc::clone(&image.slots), image.generation);
-        self.blocks.attach_shared(std::sync::Arc::clone(&image.tables), image.generation);
+        self.imem.attach_shared(std::sync::Arc::clone(&image.words));
+        self.store.attach_shared(std::sync::Arc::clone(&image.tables));
         self.cpu.set_pc(image.entry_pc);
     }
 
@@ -1308,8 +1302,8 @@ impl System {
     /// This is the co-simulation interface for an online partitioning
     /// runtime: the caller interleaves slices with profiler queries and
     /// mid-run instruction-memory patches through
-    /// [`System::imem_mut`] (the pre-decoded fetch store notices the
-    /// patch via [`Bram::generation`]). All state lives in the system,
+    /// [`System::write_imem`], which drops the stale pre-decoded slots
+    /// and blocks as it writes. All state lives in the system,
     /// so slices resume exactly where the previous slice stopped and a
     /// sliced execution retires the identical instruction stream as one
     /// [`System::run_with_sink`] call — `Outcome` fields are per-slice.
@@ -1368,7 +1362,7 @@ const _: fn() = || {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mb_isa::{Assembler, Reg};
+    use mb_isa::{encode, Assembler, Reg};
 
     fn exit_sequence(a: &mut Assembler) {
         a.li(Reg::R31, EXIT_PORT_BASE as i32);
@@ -1385,6 +1379,46 @@ mod tests {
         let out = sys.run(1_000_000).unwrap();
         assert!(out.exited(), "program must exit, stopped at pc {:#x}", sys.cpu().pc());
         sys
+    }
+
+    #[test]
+    fn patch_rebuilds_only_blocks_over_written_words() {
+        // A warm system patched in `apply_patch`'s order: a stub past
+        // the program end, then a jump at the loop head. The loop head
+        // is word 2, and the exit sequence starts at word 5.
+        let mut a = Assembler::new(0);
+        a.li(Reg::R3, 10);
+        a.bri("loop");
+        a.label("loop");
+        a.push(Insn::addik(Reg::R4, Reg::R4, 3));
+        a.push(Insn::addik(Reg::R3, Reg::R3, -1));
+        a.bnei(Reg::R3, "loop");
+        exit_sequence(&mut a);
+        let program = a.finish().unwrap();
+        let (head, done, stub) = (8, 20, program.end() + 32);
+        let mut sys = System::new(MbConfig::paper_default());
+        sys.load_program(&program).unwrap();
+        sys.prewarm();
+        assert!(sys.run(1_000_000).unwrap().exited());
+        sys.prewarm();
+        let (built, prepared) = (sys.store.built, sys.store.prepared);
+
+        let jump = |from: u32, to: u32| {
+            let imm = to.wrapping_sub(from) as i16;
+            encode(&Insn::Bri { rd: Reg::R0, imm, link: false, absolute: false, delay: false })
+        };
+        let stub_words = [encode(&Insn::addik(Reg::R4, Reg::R4, 30)), jump(stub + 4, done)];
+        sys.write_imem(stub, &stub_words).unwrap();
+        sys.write_imem(head, &[jump(head, stub)]).unwrap();
+        sys.reset_run_state(0);
+        assert!(sys.run(1_000_000).unwrap().exited());
+        assert_eq!(sys.cpu().reg(Reg::R4), 30, "the patched head must run the stub");
+        // Built: the head's block (now empty: it starts at a forward
+        // jump) and the stub's block (its jump back to the exit chains
+        // as a guard). The exit sequence's blocks, and its learned OPB
+        // store, survive the patch.
+        assert_eq!(sys.store.built, built + 2, "only blocks over written words rebuild");
+        assert_eq!(sys.store.prepared, prepared + 3, "only the three written words re-decode");
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 use mb_isa::MemSize;
@@ -42,82 +43,6 @@ impl fmt::Display for MemError {
 
 impl Error for MemError {}
 
-/// How many disjoint write spans the [`Bram`] write log keeps before it
-/// starts forgetting the oldest (forcing consumers behind that point to
-/// resync fully). Patches are a handful of contiguous ranges, so a small
-/// cap captures every realistic invalidation exactly.
-const WRITE_LOG_CAP: usize = 8;
-
-/// One logged span of written words: the union of all writes with
-/// generations in `(previous span's gen, gen]`, inclusive word bounds.
-#[derive(Clone, Copy, Debug)]
-struct WriteSpan {
-    gen: u64,
-    lo: u32,
-    hi: u32,
-}
-
-/// A bounded log of recent write ranges, complete for every generation
-/// strictly greater than `base`. Contiguous/overlapping writes merge
-/// into the newest span, so a bulk [`Bram::load_words`] or a WCLA patch
-/// costs one entry, not one per word.
-#[derive(Clone, Debug, Default)]
-struct WriteLog {
-    base: u64,
-    spans: Vec<WriteSpan>,
-}
-
-impl WriteLog {
-    fn note(&mut self, generation: u64, lo: u32, hi: u32) {
-        if let Some(last) = self.spans.last_mut() {
-            // Merge only strict adjacent extensions (an upward or
-            // downward burst, e.g. `load_words` or a patch loop). A
-            // write *inside* an older span must open a fresh span —
-            // folding it in would re-stamp the old span's generation
-            // and make a one-word patch look like the whole original
-            // load to any consumer that synced in between.
-            if lo == last.hi + 1 {
-                last.hi = hi;
-                last.gen = generation;
-                return;
-            }
-            if hi + 1 == last.lo {
-                last.lo = lo;
-                last.gen = generation;
-                return;
-            }
-        }
-        if self.spans.len() == WRITE_LOG_CAP {
-            let dropped = self.spans.remove(0);
-            self.base = dropped.gen;
-        }
-        self.spans.push(WriteSpan { gen: generation, lo, hi });
-    }
-
-    /// Union of words written since `generation`, or `None` when the log
-    /// no longer reaches back that far (spans have gens in ascending
-    /// order, so the reverse scan stops at the first span entirely at or
-    /// before the query point). Spans over-approximate safely: a span
-    /// merged across generations is included whole if any part of it is
-    /// newer than the query.
-    fn dirty_since(&self, generation: u64) -> Option<(u32, u32)> {
-        if generation < self.base {
-            return None;
-        }
-        let mut range: Option<(u32, u32)> = None;
-        for s in self.spans.iter().rev() {
-            if s.gen <= generation {
-                break;
-            }
-            range = Some(match range {
-                Some((lo, hi)) => (lo.min(s.lo), hi.max(s.hi)),
-                None => (s.lo, s.hi),
-            });
-        }
-        range
-    }
-}
-
 /// A dual-ported block RAM, word-organized with big-endian byte order
 /// (matching the MicroBlaze).
 ///
@@ -125,27 +50,15 @@ impl WriteLog {
 /// data address generator access the same array; the dual-ported BRAM of
 /// the paper means these accesses do not contend.
 ///
-/// Every mutation bumps a [`generation`](Bram::generation) counter, which
-/// is how the simulator's pre-decoded instruction store notices that the
-/// DPM patched the running binary through
-/// [`imem_mut`](crate::System::imem_mut) and must discard
-/// its side table. A BRAM built with [`with_write_log`](Bram::with_write_log)
-/// additionally remembers *which* words recent mutations touched, so
-/// derived caches can answer "what changed since generation g" through
-/// [`dirty_words_since`](Bram::dirty_words_since) and rebuild only the
-/// overlapping slots instead of flushing wholesale.
+/// The instruction BRAM is written only through
+/// [`System::write_imem`](crate::System::write_imem), which invalidates
+/// the simulator's derived program store for exactly the written words.
 #[derive(Clone, Debug)]
 pub struct Bram {
     words: Shareable<Vec<u32>>,
-    generation: u64,
-    /// Present only on BRAMs that opted into write tracking (the
-    /// instruction BRAM); the data BRAM skips the bookkeeping so
-    /// simulated stores stay lean.
-    log: Option<WriteLog>,
 }
 
-/// Equality compares the stored words only; the mutation generation is
-/// bookkeeping, so a patched-then-reverted BRAM equals the original.
+/// Equality compares the stored words only, whether owned or shared.
 impl PartialEq for Bram {
     fn eq(&self, other: &Self) -> bool {
         self.words.get() == other.words.get()
@@ -158,50 +71,7 @@ impl Bram {
     /// Creates a zero-filled BRAM of `size_bytes` (rounded up to a word).
     #[must_use]
     pub fn new(size_bytes: u32) -> Self {
-        Bram {
-            words: Shareable::Owned(vec![0; (size_bytes as usize).div_ceil(4)]),
-            generation: 0,
-            log: None,
-        }
-    }
-
-    /// Enables write-range tracking: every mutation is recorded in a
-    /// small bounded log so [`dirty_words_since`](Bram::dirty_words_since)
-    /// can answer which words changed. The simulator enables this on the
-    /// instruction BRAM only — it is what makes predecode/block
-    /// invalidation after a WCLA patch incremental.
-    #[must_use]
-    pub fn with_write_log(mut self) -> Self {
-        self.log = Some(WriteLog::default());
-        self
-    }
-
-    /// Mutation counter: incremented by every write (including sub-word
-    /// writes, bulk loads, and [`clear`](Bram::clear)). Derived caches
-    /// compare it against the value they were built at and rebuild on
-    /// mismatch.
-    #[must_use]
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Inclusive word-index bounds covering (a superset of) every word
-    /// written since `generation`, or `None` when the answer is unknown
-    /// — no write log, or the log has already forgotten writes that far
-    /// back — in which case callers must resync everything.
-    #[must_use]
-    pub fn dirty_words_since(&self, generation: u64) -> Option<(u32, u32)> {
-        self.log.as_ref().and_then(|log| log.dirty_since(generation))
-    }
-
-    /// Bumps the generation for a mutation of the word range
-    /// `[lo, hi]`, logging it when tracking is on.
-    #[inline]
-    fn touch(&mut self, lo: u32, hi: u32) {
-        self.generation += 1;
-        if let Some(log) = &mut self.log {
-            log.note(self.generation, lo, hi);
-        }
+        Bram { words: Shareable::Owned(vec![0; (size_bytes as usize).div_ceil(4)]) }
     }
 
     /// Size in bytes.
@@ -232,17 +102,10 @@ impl Bram {
         self.words.freeze()
     }
 
-    /// Replaces the contents with a shared read-only word array captured
-    /// at `generation` (a [`Bram::freeze`] of a sibling). The generation
-    /// is adopted so consumers attached alongside see a clean store, and
-    /// the write log restarts at it so consumers synced *before* the
-    /// attach are told to resync fully rather than fed stale spans.
-    pub fn attach_shared(&mut self, words: Arc<Vec<u32>>, generation: u64) {
+    /// Replaces the contents with a shared read-only word array (a
+    /// [`Bram::freeze`] of a sibling).
+    pub fn attach_shared(&mut self, words: Arc<Vec<u32>>) {
         self.words = Shareable::Shared(words);
-        self.generation = generation;
-        if self.log.is_some() {
-            self.log = Some(WriteLog { base: generation, spans: Vec::new() });
-        }
     }
 
     #[inline]
@@ -276,7 +139,6 @@ impl Bram {
     pub fn write_word(&mut self, addr: u32, value: u32) -> Result<(), MemError> {
         let idx = self.word_index(addr, 4)?;
         self.words.make_owned()[idx] = value;
-        self.touch(idx as u32, idx as u32);
         Ok(())
     }
 
@@ -321,7 +183,6 @@ impl Bram {
                 let mask = 0xFFFFu32 << shift;
                 let words = self.words.make_owned();
                 words[idx] = (words[idx] & !mask) | ((value & 0xFFFF) << shift);
-                self.touch(idx as u32, idx as u32);
                 Ok(())
             }
             MemSize::Byte => {
@@ -330,7 +191,6 @@ impl Bram {
                 let mask = 0xFFu32 << shift;
                 let words = self.words.make_owned();
                 words[idx] = (words[idx] & !mask) | ((value & 0xFF) << shift);
-                self.touch(idx as u32, idx as u32);
                 Ok(())
             }
         }
@@ -340,10 +200,13 @@ impl Bram {
     ///
     /// # Errors
     ///
-    /// Returns [`MemError`] if the region does not fit.
+    /// Returns [`MemError`] if the region does not fit or `addr` is
+    /// misaligned; the BRAM is untouched on error. An empty slice writes
+    /// nothing, wherever it points.
     pub fn load_words(&mut self, addr: u32, data: &[u32]) -> Result<(), MemError> {
-        for (i, &w) in data.iter().enumerate() {
-            self.write_word(addr + (i as u32) * 4, w)?;
+        if !data.is_empty() {
+            let span = self.span(addr, data.len())?;
+            self.words.make_owned()[span].copy_from_slice(data);
         }
         Ok(())
     }
@@ -371,26 +234,31 @@ impl Bram {
     /// Returns [`MemError`] if the region does not fit or `addr` is
     /// misaligned; `out` is untouched on error.
     pub fn read_words_into(&self, addr: u32, out: &mut [u32]) -> Result<(), MemError> {
+        let span = self.span(addr, out.len())?;
+        out.copy_from_slice(&self.words.get()[span]);
+        Ok(())
+    }
+
+    /// The word indices of `count` consecutive words from byte address
+    /// `addr`, or the error naming the first word outside the BRAM.
+    fn span(&self, addr: u32, count: usize) -> Result<Range<usize>, MemError> {
         if !addr.is_multiple_of(4) {
             return Err(MemError::Misaligned { addr, align: 4 });
         }
-        let words = self.words.get();
+        let len = self.words.get().len();
         let start = (addr / 4) as usize;
-        let Some(end) = start.checked_add(out.len()).filter(|&e| e <= words.len()) else {
-            // Report the first word that falls outside the BRAM.
-            let first_bad = addr + (words.len().saturating_sub(start) as u32) * 4;
-            return Err(MemError::OutOfRange { addr: first_bad, size: self.size() });
-        };
-        out.copy_from_slice(&words[start..end]);
-        Ok(())
+        match start.checked_add(count).filter(|&end| end <= len) {
+            Some(end) => Ok(start..end),
+            None => {
+                let first_bad = addr + (len.saturating_sub(start) as u32) * 4;
+                Err(MemError::OutOfRange { addr: first_bad, size: self.size() })
+            }
+        }
     }
 
     /// Fills the entire BRAM with zeros.
     pub fn clear(&mut self) {
-        let words = self.words.make_owned();
-        words.fill(0);
-        let hi = (words.len() as u32).saturating_sub(1);
-        self.touch(0, hi);
+        self.words.make_owned().fill(0);
     }
 }
 
@@ -474,96 +342,33 @@ mod tests {
     }
 
     #[test]
-    fn generation_bumps_on_every_mutation() {
+    fn load_words_writes_all_or_nothing() {
+        let mut m = Bram::new(16);
+        assert_eq!(m.load_words(8, &[1, 2, 3]), Err(MemError::OutOfRange { addr: 16, size: 16 }));
+        assert_eq!(m, Bram::new(16), "a load that does not fit writes nothing");
+        m.load_words(6, &[]).unwrap();
+    }
+
+    #[test]
+    fn clear_zeroes_every_word() {
         let mut m = Bram::new(64);
-        let g0 = m.generation();
-        m.write_word(0, 5).unwrap();
-        let g1 = m.generation();
-        assert!(g1 > g0);
-        m.write(1, 0xAB, MemSize::Byte).unwrap();
-        assert!(m.generation() > g1);
-        let g2 = m.generation();
-        m.load_words(8, &[1, 2]).unwrap();
-        assert!(m.generation() > g2);
-        let g3 = m.generation();
+        m.load_words(0, &[1; 16]).unwrap();
         m.clear();
-        assert!(m.generation() > g3);
-        // Reads and failed writes leave the generation alone.
-        let g4 = m.generation();
-        let _ = m.read_word(0);
-        assert!(m.write_word(1, 0).is_err());
-        assert_eq!(m.generation(), g4);
-    }
-
-    #[test]
-    fn untracked_bram_reports_unknown_dirty_range() {
-        let mut m = Bram::new(64);
-        let g0 = m.generation();
-        m.write_word(8, 1).unwrap();
-        assert_eq!(m.dirty_words_since(g0), None, "no log, no answer");
-    }
-
-    #[test]
-    fn write_log_bounds_the_dirtied_words() {
-        let mut m = Bram::new(256).with_write_log();
-        let g0 = m.generation();
-        m.write_word(16, 1).unwrap(); // word 4
-        m.write_word(20, 2).unwrap(); // word 5: merges with word 4
-        assert_eq!(m.dirty_words_since(g0), Some((4, 5)));
-        // A consumer synced mid-burst gets the whole merged span — a
-        // safe over-approximation (the span carries one generation).
-        let g1 = g0 + 1;
-        assert_eq!(m.dirty_words_since(g1), Some((4, 5)));
-        // Sub-word writes and bulk loads are tracked too.
-        m.write(41, 0xAB, MemSize::Byte).unwrap(); // word 10
-        m.load_words(48, &[7, 8]).unwrap(); // words 12..13
-        assert_eq!(m.dirty_words_since(g0), Some((4, 13)));
-        // A fully-synced consumer sees nothing dirty.
-        assert_eq!(m.dirty_words_since(m.generation()), None);
-    }
-
-    #[test]
-    fn write_log_forgets_when_overflowed() {
-        let mut m = Bram::new(4096).with_write_log();
-        let g0 = m.generation();
-        // Disjoint, non-mergeable writes past the log capacity.
-        for i in 0..(WRITE_LOG_CAP as u32 + 2) {
-            m.write_word(i * 64, i).unwrap();
-        }
-        assert_eq!(m.dirty_words_since(g0), None, "too far back: must demand a full resync");
-        // But recent history is still exact.
-        let g_late = m.generation() - 1;
-        assert_eq!(
-            m.dirty_words_since(g_late),
-            Some(((WRITE_LOG_CAP as u32 + 1) * 16, (WRITE_LOG_CAP as u32 + 1) * 16))
-        );
-    }
-
-    #[test]
-    fn clear_dirties_everything() {
-        let mut m = Bram::new(64).with_write_log();
-        let g0 = m.generation();
-        m.clear();
-        assert_eq!(m.dirty_words_since(g0), Some((0, 15)));
+        assert!(m.words().iter().all(|&w| w == 0));
     }
 
     #[test]
     fn freeze_shares_words_and_first_write_detaches() {
-        let mut a = Bram::new(64).with_write_log();
+        let mut a = Bram::new(64);
         a.load_words(0, &[1, 2, 3]).unwrap();
-        let generation = a.generation();
         let shared = a.freeze();
         assert!(a.is_shared(), "freeze leaves the source on the shared view");
         assert_eq!(a.read_word(0).unwrap(), 1, "reads are unchanged after freeze");
 
-        let mut b = Bram::new(64).with_write_log();
-        b.attach_shared(Arc::clone(&shared), generation);
+        let mut b = Bram::new(64);
+        b.attach_shared(Arc::clone(&shared));
         assert!(b.is_shared());
         assert_eq!(a, b);
-        assert_eq!(b.generation(), generation);
-        // Consumers synced before the attach must resync fully: the log
-        // restarts at the adopted generation.
-        assert_eq!(b.dirty_words_since(generation - 1), None);
 
         // First write detaches a private copy; the sibling and the
         // frozen image are untouched.
@@ -572,15 +377,12 @@ mod tests {
         assert_eq!(b.read_word(0).unwrap(), 99);
         assert_eq!(a.read_word(0).unwrap(), 1);
         assert_eq!(shared[0], 1);
-        // The write is logged against the adopted generation.
-        assert_eq!(b.dirty_words_since(generation), Some((0, 0)));
     }
 
     #[test]
     fn every_mutation_kind_detaches_a_shared_bram() {
         let mut src = Bram::new(64);
         src.write_word(0, 0xAABB_CCDD).unwrap();
-        let generation = src.generation();
         let image = src.freeze();
 
         for mutate in [
@@ -591,7 +393,7 @@ mod tests {
             |m| m.clear(),
         ] {
             let mut b = Bram::new(64);
-            b.attach_shared(Arc::clone(&image), generation);
+            b.attach_shared(Arc::clone(&image));
             mutate(&mut b);
             assert!(!b.is_shared());
             assert_eq!(image[0], 0xAABB_CCDD, "the frozen image must never change");
@@ -599,7 +401,7 @@ mod tests {
     }
 
     #[test]
-    fn equality_ignores_generation() {
+    fn equality_compares_contents_only() {
         let mut a = Bram::new(16);
         let b = Bram::new(16);
         a.write_word(0, 7).unwrap();

@@ -12,20 +12,20 @@
 //! nonzero naming every gate `ServePerf::check` finds violated,
 //! including, when set, `SERVEPERF_FLOOR` (sessions per second of the
 //! serving window) and `SERVEPERF_MINSN_FLOOR` (aggregate fleet Minsn/s).
-//! A floor set to anything but a finite number fails the run before it
-//! measures.
+//! A worker count that is not a positive whole number, or a floor set
+//! to anything but a finite number, fails the run before it measures.
 
 use warp_bench::measure::{self, BenchCli};
 use warp_bench::serve;
 
 fn main() {
     let cli = BenchCli::parse("SERVEPERF_SMOKE", "BENCH_serve.json");
-    // A malformed floor fails the run here, before the measurement.
+    // A malformed floor or worker count fails the run here, before the
+    // measurement.
     for gate in ["SERVEPERF_FLOOR", "SERVEPERF_MINSN_FLOOR"] {
         let _ = measure::env_gate(gate);
     }
-    let workers =
-        std::env::var("SERVEPERF_WORKERS").ok().and_then(|v| v.parse::<usize>().ok()).unwrap_or(4);
+    let workers = measure::env_count("SERVEPERF_WORKERS", 4);
 
     let perf = serve::measure_fleet(cli.smoke, workers);
     println!(

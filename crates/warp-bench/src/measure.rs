@@ -31,6 +31,29 @@ fn parse_gate(value: &str) -> Option<f64> {
     value.parse::<f64>().ok().filter(|v| v.is_finite())
 }
 
+/// The count the environment variable `name` holds, or `default` when
+/// it is unset. A set value that is not a positive whole number exits
+/// the process nonzero, naming the variable and its value, as
+/// [`env_gate`] does for a malformed gate.
+#[must_use]
+pub fn env_count(name: &str, default: usize) -> usize {
+    let Some(value) = std::env::var_os(name) else {
+        return default;
+    };
+    let value = value.to_string_lossy();
+    let Some(count) = parse_count(&value) else {
+        eprintln!("{name}={value:?} is not a positive whole number");
+        std::process::exit(1);
+    };
+    count
+}
+
+/// A count's value: a whole number above zero, or `None` for anything
+/// else, including `0`, the empty string, and words.
+fn parse_count(value: &str) -> Option<usize> {
+    value.parse::<usize>().ok().filter(|&n| n > 0)
+}
+
 /// Names every gate violation on stderr and exits nonzero if there is
 /// one. Call it after [`BenchCli::write_json`]: a failed run keeps its
 /// document.
@@ -85,18 +108,31 @@ pub struct BenchCli {
 impl BenchCli {
     /// Parses `--smoke` (also settable through `smoke_env`, e.g.
     /// `SIMPERF_SMOKE=1`) and `--out <path>` (defaulting to
-    /// `default_out`) from the process arguments.
+    /// `default_out`) from the process arguments. A `--out` with no path
+    /// after it exits the process nonzero, naming the flag, so a run
+    /// never falls back to overwriting the default document.
     #[must_use]
     pub fn parse(smoke_env: &str, default_out: &str) -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        let smoke = args.iter().any(|a| a == "--smoke")
-            || std::env::var(smoke_env).is_ok_and(|v| v != "0" && !v.is_empty());
-        let out_path = args
-            .iter()
-            .position(|a| a == "--out")
-            .and_then(|i| args.get(i + 1).cloned())
-            .unwrap_or_else(|| default_out.into());
-        BenchCli { smoke, out_path }
+        let smoke_env = std::env::var(smoke_env).is_ok_and(|v| v != "0" && !v.is_empty());
+        Self::from_args(&args, smoke_env, default_out).unwrap_or_else(|err| {
+            eprintln!("{err}");
+            std::process::exit(1);
+        })
+    }
+
+    /// The CLI that `args` ask for, or the error naming a `--out` that
+    /// no path follows (the end of the arguments, or another flag).
+    fn from_args(args: &[String], smoke_env: bool, default_out: &str) -> Result<Self, String> {
+        let smoke = smoke_env || args.iter().any(|a| a == "--smoke");
+        let out_path = match args.iter().position(|a| a == "--out") {
+            None => default_out.to_string(),
+            Some(i) => match args.get(i + 1) {
+                Some(path) if !path.starts_with("--") => path.clone(),
+                _ => return Err("--out needs a path after it".to_string()),
+            },
+        };
+        Ok(BenchCli { smoke, out_path })
     }
 
     /// Writes the rendered JSON document to the chosen path and prints
@@ -156,6 +192,33 @@ mod tests {
         }
         assert_eq!(parse_gate("2"), Some(2.0));
         assert_eq!(parse_gate("1.25"), Some(1.25));
+    }
+
+    #[test]
+    fn counts_must_be_positive_whole_numbers() {
+        for malformed in ["four", "", "0", "-1", "1.5"] {
+            assert_eq!(parse_count(malformed), None, "{malformed:?} must be rejected");
+        }
+        assert_eq!(parse_count("1"), Some(1));
+        assert_eq!(parse_count("4"), Some(4));
+    }
+
+    #[test]
+    fn out_needs_a_path_after_it() {
+        let parse = |args: &[&str], smoke_env: bool| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            BenchCli::from_args(&args, smoke_env, "BENCH_x.json")
+        };
+        let cli = parse(&["--out", "run.json", "--smoke"], false).unwrap();
+        assert_eq!((cli.smoke, cli.out_path.as_str()), (true, "run.json"));
+        let cli = parse(&[], true).unwrap();
+        assert_eq!((cli.smoke, cli.out_path.as_str()), (true, "BENCH_x.json"));
+        let cli = parse(&["--smoke"], false).unwrap();
+        assert_eq!(cli.out_path, "BENCH_x.json");
+        for args in [&["--out"][..], &["--smoke", "--out"], &["--out", "--smoke"]] {
+            let err = parse(args, false).unwrap_err();
+            assert!(err.contains("--out"), "{args:?}: {err}");
+        }
     }
 
     #[test]

@@ -36,8 +36,8 @@
 //!   shared DPM serving processors round-robin;
 //! * [`service`] — the concurrent CAD service: background worker
 //!   threads that overlap host-side compilation with simulation behind
-//!   a poll-able [`CadHandle`], without letting host speed or thread
-//!   count leak into the modeled timeline.
+//!   a [`CadHandle`] the caller waits on, without letting host speed or
+//!   thread count leak into the modeled timeline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -331,7 +331,7 @@ pub fn execute_and_measure(
     let mut warped = built.instantiate(&mb_config);
     let (device, hw_stats) = WclaDevice::new(compiled.circuit.clone(), mb_config.clock_hz);
     warped.map_peripheral(WCLA_BASE, WCLA_WINDOW, Box::new(device));
-    apply_patch(warped.imem_mut(), &patched.plan).map_err(WarpError::PatchApply)?;
+    apply_patch(&mut warped, &patched.plan).map_err(WarpError::PatchApply)?;
 
     let warped_outcome = warped
         .run(options.cycle_budget.max_cycles)

@@ -6,7 +6,7 @@
 //! owns a small pool of worker threads, a submitted job (typically
 //! [`compile_circuit_cached`](crate::pipeline::compile_circuit_cached))
 //! runs on a worker while the caller keeps simulating, and the caller
-//! picks the result up through a poll-able [`CadHandle`].
+//! picks the result up by waiting on its [`CadHandle`].
 //!
 //! Concurrency here is strictly a host-side overlap: nothing about the
 //! *modeled* timeline may depend on how fast the workers are or how
@@ -60,26 +60,12 @@ enum Slot<T> {
     Poisoned,
 }
 
-/// A poll-able ticket for a job submitted to a [`CadService`].
+/// A ticket for a job submitted to a [`CadService`].
 pub struct CadHandle<T> {
     state: Arc<HandleState<T>>,
 }
 
 impl<T> CadHandle<T> {
-    /// Takes the result if the job has finished, without blocking.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the job itself panicked on its worker.
-    pub fn poll(&self) -> Option<T> {
-        let mut slot = self.state.slot.lock().expect("cad handle poisoned");
-        match std::mem::replace(&mut *slot, Slot::Pending) {
-            Slot::Pending => None,
-            Slot::Done(value) => Some(value),
-            Slot::Poisoned => panic!("CAD job panicked on its worker thread"),
-        }
-    }
-
     /// Blocks until the job finishes and takes its result.
     ///
     /// # Panics
@@ -213,7 +199,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn jobs_resolve_through_poll_and_wait() {
+    fn jobs_resolve_through_wait() {
         let service = CadService::new(2);
         assert_eq!(service.threads(), 2);
         let h = service.submit(|| 6 * 7);
@@ -222,19 +208,6 @@ mod tests {
         let handles: Vec<_> = (0..8u64).map(|i| service.submit(move || i * i)).collect();
         let squares: Vec<u64> = handles.into_iter().map(CadHandle::wait).collect();
         assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
-    }
-
-    #[test]
-    fn poll_is_non_blocking_and_eventually_ready() {
-        let service = CadService::new(1);
-        let (tx, rx) = std::sync::mpsc::channel::<()>();
-        let h = service.submit(move || {
-            rx.recv().ok();
-            "done"
-        });
-        assert!(h.poll().is_none(), "job blocked on the channel cannot be ready");
-        tx.send(()).unwrap();
-        assert_eq!(h.wait(), "done");
     }
 
     #[test]

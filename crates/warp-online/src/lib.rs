@@ -21,8 +21,8 @@
 //!    first-class simulated quantity;
 //! 4. when the CAD budget elapses, the runtime **hot-patches
 //!    instruction memory mid-run** (through
-//!    [`mb_sim::System::imem_mut`], which the pre-decoded fetch store
-//!    observes via `Bram::generation`) and execution continues on the
+//!    [`mb_sim::System::write_imem`], which drops the pre-decoded slots
+//!    and blocks over the written words) and execution continues on the
 //!    WCLA — including mid-loop: the invocation stub marshals the
 //!    *current* counter, pointers, and accumulators, so the remaining
 //!    iterations finish in hardware;

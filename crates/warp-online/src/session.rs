@@ -44,12 +44,12 @@
 //! invisible to its timeline.
 //!
 //! Hot-patching happens between slices through
-//! [`System::imem_mut`]; the pre-decoded fetch store invalidates itself
-//! via `Bram::generation`, so the next fetch of the loop head sees the
-//! jump to the invocation stub. Because the stub marshals the *current*
-//! counter, stream pointers, and accumulators, a patch that lands
-//! mid-loop is safe: the next pass over the loop head hands the
-//! remaining iterations to hardware.
+//! [`System::write_imem`], which drops the pre-decoded slots and fused
+//! blocks over the written words as it writes, so the next fetch of the
+//! loop head sees the jump to the invocation stub. Because the stub
+//! marshals the *current* counter, stream pointers, and accumulators, a
+//! patch that lands mid-loop is safe: the next pass over the loop head
+//! hands the remaining iterations to hardware.
 //!
 //! # Sliced, owned, and `Send`
 //!
@@ -395,10 +395,10 @@ impl OnlineSession {
     }
 
     /// Hot-patches the live instruction memory (tenant-driven code
-    /// update over the wire protocol). The pre-decoded fetch store and
-    /// block/trace stores invalidate through the BRAM write log, so the
-    /// next fetch of a patched word sees the new code — exactly the
-    /// interface the OCPM itself patches through.
+    /// update over the wire protocol) through [`System::write_imem`],
+    /// which drops the pre-decoded slots and blocks the words make
+    /// stale, so the next fetch of a patched word sees the new code —
+    /// exactly the interface the OCPM itself patches through.
     ///
     /// # Errors
     ///
@@ -407,7 +407,7 @@ impl OnlineSession {
     pub fn patch_imem(&mut self, addr: u32, words: &[u32]) -> Result<(), OnlineError> {
         self.ensure_system()?;
         let sys = self.sys.as_mut().expect("ensure_system populated the system");
-        sys.imem_mut().load_words(addr, words).map_err(OnlineError::Patch)
+        sys.write_imem(addr, words).map_err(OnlineError::Patch)
     }
 
     /// Instantiates the current repeat's system if none is live:
@@ -425,7 +425,7 @@ impl OnlineSession {
         let mut sys = instantiate(&self.built, &self.config.mb, image.as_deref())?;
         sys.map_peripheral(WCLA_BASE, WCLA_WINDOW, Box::new(self.slot.port()));
         if let Some(a) = &self.active {
-            apply_patch(sys.imem_mut(), &a.plan).map_err(OnlineError::Patch)?;
+            apply_patch(&mut sys, &a.plan).map_err(OnlineError::Patch)?;
         }
         self.sys = Some(sys);
         Ok(())
@@ -462,7 +462,7 @@ impl OnlineSession {
         sys.attach_image(&image);
         load_data(sys, &self.built)?;
         if let Some(a) = &self.active {
-            apply_patch(sys.imem_mut(), &a.plan).map_err(OnlineError::Patch)?;
+            apply_patch(sys, &a.plan).map_err(OnlineError::Patch)?;
         }
         Ok(())
     }
@@ -579,11 +579,11 @@ impl OnlineSession {
             };
             let mut evicted = None;
             if let Some(old) = self.active.take() {
-                revert_patch(sys.imem_mut(), &old.plan).map_err(OnlineError::Patch)?;
+                revert_patch(sys, &old.plan).map_err(OnlineError::Patch)?;
                 self.events[old.event_index].hw = *old.stats.lock().expect("wcla stats lock");
                 evicted = Some(old.region);
             }
-            apply_patch(sys.imem_mut(), &p.plan).map_err(OnlineError::Patch)?;
+            apply_patch(sys, &p.plan).map_err(OnlineError::Patch)?;
             let (device, stats) =
                 WclaDevice::new(p.compiled.circuit.clone(), self.config.mb.clock_hz);
             self.slot.install(device);
@@ -964,9 +964,9 @@ mod tests {
 
     /// The megablock trace engine must be invisible to the online
     /// runtime: hot patches land between slices while the dispatcher is
-    /// mid-trace on the patched loop, and the imem write log must drop
-    /// the dirtied traces so the very next head fetch sees the jump to
-    /// the invocation stub. A full warped run with traces on therefore
+    /// mid-trace on the patched loop, and the write must drop the traces
+    /// over the written words so the very next head fetch sees the jump
+    /// to the invocation stub. A full warped run with traces on therefore
     /// produces the *same* timeline, events, and profiler view as one
     /// with traces off.
     #[test]

@@ -14,7 +14,7 @@ use std::error::Error;
 use std::fmt;
 
 use mb_isa::{encode, Insn, Reg};
-use mb_sim::Bram;
+use mb_sim::System;
 use warp_cdfg::LoopKernel;
 
 use crate::device::{regs, WCLA_BASE};
@@ -159,15 +159,15 @@ impl PatchPlan {
     }
 }
 
-/// Applies a patch to instruction memory.
+/// Applies a patch to the system's instruction memory: the stub first,
+/// then the jump at the loop head.
 ///
 /// # Errors
 ///
 /// Returns a [`mb_sim::MemError`] if the stub does not fit.
-pub fn apply_patch(imem: &mut Bram, plan: &PatchPlan) -> Result<(), mb_sim::MemError> {
-    imem.load_words(plan.stub_base, &plan.stub)?;
-    imem.write_word(plan.head, plan.head_word)?;
-    Ok(())
+pub fn apply_patch(sys: &mut System, plan: &PatchPlan) -> Result<(), mb_sim::MemError> {
+    sys.write_imem(plan.stub_base, &plan.stub)?;
+    sys.write_imem(plan.head, &[plan.head_word])
 }
 
 /// Reverts a patch (restores the original loop head; the stub area is
@@ -176,9 +176,8 @@ pub fn apply_patch(imem: &mut Bram, plan: &PatchPlan) -> Result<(), mb_sim::MemE
 /// # Errors
 ///
 /// Returns a [`mb_sim::MemError`] on out-of-range addresses.
-pub fn revert_patch(imem: &mut Bram, plan: &PatchPlan) -> Result<(), mb_sim::MemError> {
-    imem.write_word(plan.head, plan.original_head_word)?;
-    Ok(())
+pub fn revert_patch(sys: &mut System, plan: &PatchPlan) -> Result<(), mb_sim::MemError> {
+    sys.write_imem(plan.head, &[plan.original_head_word])
 }
 
 #[cfg(test)]
@@ -228,12 +227,11 @@ mod tests {
         )
         .unwrap();
 
-        let mut imem = Bram::new(64 * 1024);
-        imem.load_words(built.program.base, &built.program.words).unwrap();
-        let before = imem.clone();
-        apply_patch(&mut imem, &plan).unwrap();
-        assert_ne!(imem.read_word(plan.head).unwrap(), before.read_word(plan.head).unwrap());
-        revert_patch(&mut imem, &plan).unwrap();
-        assert_eq!(imem.read_word(plan.head).unwrap(), before.read_word(plan.head).unwrap());
+        let mut sys = built.instantiate(&mb_sim::MbConfig::paper_default());
+        let before = sys.imem().clone();
+        apply_patch(&mut sys, &plan).unwrap();
+        assert_ne!(sys.imem().read_word(plan.head).unwrap(), before.read_word(plan.head).unwrap());
+        revert_patch(&mut sys, &plan).unwrap();
+        assert_eq!(sys.imem().read_word(plan.head).unwrap(), before.read_word(plan.head).unwrap());
     }
 }

@@ -110,7 +110,7 @@ fn main() {
     warped.load_data(B_ADDR, &b).unwrap();
     let (device, _) = WclaDevice::new(circuit, 85_000_000);
     warped.map_peripheral(WCLA_BASE, WCLA_WINDOW, Box::new(device));
-    apply_patch(warped.imem_mut(), &plan).unwrap();
+    apply_patch(&mut warped, &plan).unwrap();
     let hw = warped.run(100_000_000).unwrap();
     println!("warped run:   {} cycles", hw.cycles);
 

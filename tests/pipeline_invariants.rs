@@ -17,8 +17,8 @@ fn patch_revert_restores_software_behavior() {
             .unwrap();
 
     let mut sys = built.instantiate(&MbConfig::paper_default());
-    apply_patch(sys.imem_mut(), &plan).unwrap();
-    revert_patch(sys.imem_mut(), &plan).unwrap();
+    apply_patch(&mut sys, &plan).unwrap();
+    revert_patch(&mut sys, &plan).unwrap();
     let outcome = sys.run(200_000_000).unwrap();
     assert!(outcome.exited());
     built.verify(sys.dmem()).unwrap();

@@ -12,10 +12,11 @@
 //!    match the per-instruction step engine the same way — including
 //!    across mid-run patches, guard-failure side exits, and cycle
 //!    budgets that expire mid-block or mid-trace;
-//! 3. decode-cache and block-store invalidation: after an imem patch
-//!    through [`System::imem_mut`] — the WCLA binary-patching interface
-//!    — the patched words execute, never stale pre-decoded ones, stale
-//!    fused blocks, or stale chained traces;
+//! 3. write-time invalidation: after an imem patch through
+//!    [`System::write_imem`] — the WCLA binary-patching interface, which
+//!    drops the written words' pre-decoded slots and the blocks over
+//!    them — the patched words execute, never stale pre-decoded ones,
+//!    stale fused blocks, or stale chained traces;
 //! 4. every configuration dispatches the engine it reports via
 //!    [`System::active_engine`], never a silent downgrade;
 //! 5. the default configuration retires exactly the pinned number of
@@ -164,8 +165,8 @@ fn step_until(sys: &mut System, target: u32) {
 }
 
 /// Runs the patch-mid-execution scenario on one configuration: execute
-/// the loop body once (hot in any decode cache), rewrite the body
-/// instruction through `imem_mut`, finish the program.
+/// the loop body once (hot in the pre-decoded slots), rewrite the body
+/// instruction through `write_imem`, finish the program.
 fn run_patch_scenario(config: &MbConfig) -> System {
     let (program, body_pc, branch_pc) = patchable_loop();
     let mut sys = System::new(config.clone());
@@ -173,7 +174,7 @@ fn run_patch_scenario(config: &MbConfig) -> System {
     // First iteration has executed the body once when the branch is
     // reached — exactly when a stale decode-cache entry would exist.
     step_until(&mut sys, branch_pc);
-    sys.imem_mut().write_word(body_pc, encode(&Insn::addik(Reg::R4, Reg::R4, 7))).unwrap();
+    sys.write_imem(body_pc, &[encode(&Insn::addik(Reg::R4, Reg::R4, 7))]).unwrap();
     let out = sys.run(10_000).unwrap();
     assert!(out.exited());
     sys
@@ -325,8 +326,8 @@ fn mid_trace_patches_to_body_and_guard_words_take_effect() {
         sys.load_program(&program).unwrap();
         let out = sys.run_slice(100, &mut NullSink).unwrap();
         assert!(!out.exited(), "slice must stop mid-loop");
-        sys.imem_mut().write_word(body_pc, encode(&Insn::addik(Reg::R4, Reg::R4, 7))).unwrap();
-        sys.imem_mut().write_word(guard_pc, encode(&Insn::addik(Reg::R5, Reg::R5, 1))).unwrap();
+        sys.write_imem(body_pc, &[encode(&Insn::addik(Reg::R4, Reg::R4, 7))]).unwrap();
+        sys.write_imem(guard_pc, &[encode(&Insn::addik(Reg::R5, Reg::R5, 1))]).unwrap();
         let out = sys.run(1_000_000).unwrap();
         assert!(out.exited());
         sys
@@ -344,11 +345,10 @@ fn mid_trace_patches_to_body_and_guard_words_take_effect() {
 }
 
 #[test]
-fn write_log_overflow_mid_slice_still_invalidates_traces() {
-    // Overflow the imem write log (`WRITE_LOG_CAP` spans) with scattered
-    // writes to unreachable words before patching the hot body: the
-    // incremental invalidation path gives up and the store must fall
-    // back to a full flush that still drops the stale block and trace.
+fn scattered_writes_mid_slice_still_invalidate_traces() {
+    // A dozen scattered writes to unreachable words before patching the
+    // hot body: each write invalidates only its own word, and the body
+    // patch must still drop the stale block and trace.
     let run = |config: &MbConfig| {
         let (program, body_pc, _) = hot_loop();
         let mut sys = System::new(config.clone());
@@ -356,11 +356,9 @@ fn write_log_overflow_mid_slice_still_invalidates_traces() {
         let out = sys.run_slice(100, &mut NullSink).unwrap();
         assert!(!out.exited(), "slice must stop mid-loop");
         for i in 0..12u32 {
-            sys.imem_mut()
-                .write_word(0x8000 + i * 64, encode(&Insn::addik(Reg::R5, Reg::R5, 1)))
-                .unwrap();
+            sys.write_imem(0x8000 + i * 64, &[encode(&Insn::addik(Reg::R5, Reg::R5, 1))]).unwrap();
         }
-        sys.imem_mut().write_word(body_pc, encode(&Insn::addik(Reg::R4, Reg::R4, 7))).unwrap();
+        sys.write_imem(body_pc, &[encode(&Insn::addik(Reg::R4, Reg::R4, 7))]).unwrap();
         let out = sys.run(1_000_000).unwrap();
         assert!(out.exited());
         sys
