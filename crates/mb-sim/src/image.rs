@@ -184,7 +184,7 @@ mod tests {
         sliced.attach_image(&image);
         let mut cycles = 0u64;
         loop {
-            let out = sliced.run_slice(7, &mut NullSink).unwrap();
+            let out = sliced.run_with_sink(7, &mut NullSink).unwrap();
             cycles += out.cycles;
             if out.exited() {
                 break;

@@ -1117,8 +1117,7 @@ impl System {
         self.stats.attribute_trace(iters.saturating_sub(1) * body + guards.saturating_sub(1));
     }
 
-    /// The one budget-tracking loop behind [`System::run_with_sink`] and
-    /// [`System::run_slice`].
+    /// The one budget-tracking loop behind [`System::run_with_sink`].
     ///
     /// The budget is tracked from each dispatch's return value — every
     /// step or block retirement returns exactly the cycles it recorded —
@@ -1264,11 +1263,14 @@ impl System {
     /// state — without touching instruction memory or the derived
     /// stores, and points the PC at `entry_pc`.
     ///
-    /// This is the in-place rerun primitive (a pooled session's next
-    /// repeat): the system reruns bit-identically to a freshly built
-    /// one, but keeps its attached [`ProgramImage`] (or its privately
-    /// warmed stores, standing patches included) and its mapped
-    /// peripherals, and performs no allocation.
+    /// This is the in-place rerun primitive (an online session's next
+    /// repeat, pooled or not): the program re-enters on the same
+    /// instruction memory, as on the warp processor, whose instruction
+    /// BRAM keeps every patch written to it, so a rerun matches a
+    /// freshly built system that holds the same instruction words. The
+    /// system keeps its attached [`ProgramImage`] or private stores,
+    /// written words included, and its mapped peripherals, and performs
+    /// no allocation.
     pub fn reset_run_state(&mut self, entry_pc: u32) {
         self.cpu.reset();
         self.cpu.set_pc(entry_pc);
@@ -1282,7 +1284,23 @@ impl System {
     /// every retired instruction to `sink`.
     ///
     /// This is the monomorphized run loop every other `run_*` entry
-    /// point is a thin wrapper over.
+    /// point is a thin wrapper over, and the co-simulation interface
+    /// for an online partitioning runtime: the caller runs bounded
+    /// slices, interleaved with profiler queries and mid-run
+    /// instruction-memory patches through [`System::write_imem`], which
+    /// drops the stale pre-decoded slots and blocks as it writes. All
+    /// state lives in the system, so a slice resumes exactly where the
+    /// previous one stopped and a sliced execution retires the
+    /// identical instruction stream as one call — `Outcome` fields are
+    /// per-call.
+    ///
+    /// Steps are atomic: a slice never splits a delayed branch from its
+    /// delay slot, so the returned `cycles` may overshoot `max_cycles`
+    /// by at most one step. Callers accounting simulated time must sum
+    /// the returned `cycles`, not the requested budgets. A slice whose
+    /// final step writes the exit port reports [`StopReason::Exited`]
+    /// in that same slice (never [`StopReason::CycleLimit`]); once
+    /// exited, further slices return `Exited` with zero cycles.
     ///
     /// # Errors
     ///
@@ -1293,39 +1311,6 @@ impl System {
         sink: &mut S,
     ) -> Result<Outcome, RunError> {
         self.run_budgeted(max_cycles, sink)
-    }
-
-    /// Runs one bounded slice of execution: at most `slice_cycles`
-    /// cycles from the current machine state, feeding every retired
-    /// instruction to `sink`.
-    ///
-    /// This is the co-simulation interface for an online partitioning
-    /// runtime: the caller interleaves slices with profiler queries and
-    /// mid-run instruction-memory patches through
-    /// [`System::write_imem`], which drops the stale pre-decoded slots
-    /// and blocks as it writes. All state lives in the system,
-    /// so slices resume exactly where the previous slice stopped and a
-    /// sliced execution retires the identical instruction stream as one
-    /// [`System::run_with_sink`] call — `Outcome` fields are per-slice.
-    ///
-    /// Steps are atomic: a slice never splits a delayed branch from its
-    /// delay slot, so the returned `cycles` may overshoot
-    /// `slice_cycles` by at most one step. Callers accounting simulated
-    /// time must sum the returned `cycles`, not the requested budgets.
-    /// A slice whose final step writes the exit port reports
-    /// [`StopReason::Exited`] in that same slice (never
-    /// [`StopReason::CycleLimit`]); once exited, further slices return
-    /// `Exited` with zero cycles.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`RunError`] from [`System::step`].
-    pub fn run_slice<S: TraceSink>(
-        &mut self,
-        slice_cycles: u64,
-        sink: &mut S,
-    ) -> Result<Outcome, RunError> {
-        self.run_budgeted(slice_cycles, sink)
     }
 
     /// Runs until the program exits or `max_cycles` elapse.
@@ -1604,7 +1589,7 @@ mod tests {
             let mut cycles = 0u64;
             let mut instructions = 0u64;
             let last = loop {
-                let out = sys.run_slice(slice, &mut NullSink).unwrap();
+                let out = sys.run_with_sink(slice, &mut NullSink).unwrap();
                 cycles += out.cycles;
                 instructions += out.instructions;
                 if out.exited() {
@@ -1639,7 +1624,7 @@ mod tests {
         for budget in [total.cycles, total.cycles - 1] {
             let mut sys = System::new(MbConfig::paper_default());
             sys.load_program(&program).unwrap();
-            let first = sys.run_slice(budget, &mut NullSink).unwrap();
+            let first = sys.run_with_sink(budget, &mut NullSink).unwrap();
             assert_eq!(
                 first.stop,
                 StopReason::Exited(0),
@@ -1648,7 +1633,7 @@ mod tests {
             );
             assert_eq!(first.cycles, total.cycles);
             // The exit is sticky: further slices are zero-cost no-ops.
-            let after = sys.run_slice(1000, &mut NullSink).unwrap();
+            let after = sys.run_with_sink(1000, &mut NullSink).unwrap();
             assert_eq!(after.stop, StopReason::Exited(0));
             assert_eq!(after.cycles, 0);
             assert_eq!(after.instructions, 0);
@@ -1658,9 +1643,9 @@ mod tests {
         // CycleLimit, with the exit delivered by the next slice.
         let mut sys = System::new(MbConfig::paper_default());
         sys.load_program(&program).unwrap();
-        let first = sys.run_slice(total.cycles - 2, &mut NullSink).unwrap();
+        let first = sys.run_with_sink(total.cycles - 2, &mut NullSink).unwrap();
         assert_eq!(first.stop, StopReason::CycleLimit);
-        let second = sys.run_slice(1000, &mut NullSink).unwrap();
+        let second = sys.run_with_sink(1000, &mut NullSink).unwrap();
         assert_eq!(second.stop, StopReason::Exited(0));
         assert_eq!(first.cycles + second.cycles, total.cycles);
     }
@@ -1670,11 +1655,11 @@ mod tests {
         let program = sliceable_program(2);
         let mut sys = System::new(MbConfig::paper_default());
         sys.load_program(&program).unwrap();
-        let out = sys.run_slice(0, &mut NullSink).unwrap();
+        let out = sys.run_with_sink(0, &mut NullSink).unwrap();
         assert_eq!(out.stop, StopReason::CycleLimit);
         assert_eq!(out.cycles, 0);
         sys.run(1_000_000).unwrap();
-        let out = sys.run_slice(0, &mut NullSink).unwrap();
+        let out = sys.run_with_sink(0, &mut NullSink).unwrap();
         assert_eq!(out.stop, StopReason::Exited(0), "exit visible even to a zero-budget slice");
     }
 

@@ -213,30 +213,12 @@ impl Bram {
 
     /// Reads `count` consecutive words starting at a byte address.
     ///
-    /// Allocates a fresh `Vec` per call; hot callers (the patch/verify
-    /// path) should reuse a buffer through
-    /// [`read_words_into`](Bram::read_words_into).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError`] if the region does not fit.
-    pub fn read_words(&self, addr: u32, count: usize) -> Result<Vec<u32>, MemError> {
-        let mut out = vec![0u32; count];
-        self.read_words_into(addr, &mut out)?;
-        Ok(out)
-    }
-
-    /// Fills `out` with consecutive words starting at a byte address,
-    /// without allocating.
-    ///
     /// # Errors
     ///
     /// Returns [`MemError`] if the region does not fit or `addr` is
-    /// misaligned; `out` is untouched on error.
-    pub fn read_words_into(&self, addr: u32, out: &mut [u32]) -> Result<(), MemError> {
-        let span = self.span(addr, out.len())?;
-        out.copy_from_slice(&self.words.get()[span]);
-        Ok(())
+    /// misaligned.
+    pub fn read_words(&self, addr: u32, count: usize) -> Result<Vec<u32>, MemError> {
+        Ok(self.words.get()[self.span(addr, count)?].to_vec())
     }
 
     /// The word indices of `count` consecutive words from byte address
@@ -325,20 +307,14 @@ mod tests {
     }
 
     #[test]
-    fn read_words_into_fills_without_alloc() {
+    fn read_words_checks_the_whole_range() {
         let mut m = Bram::new(64);
         m.load_words(8, &[1, 2, 3]).unwrap();
-        let mut buf = [0u32; 3];
-        m.read_words_into(8, &mut buf).unwrap();
-        assert_eq!(buf, [1, 2, 3]);
-        // Errors leave the buffer untouched and match read_word's bounds.
-        assert_eq!(
-            m.read_words_into(60, &mut buf),
-            Err(MemError::OutOfRange { addr: 64, size: 64 })
-        );
-        assert_eq!(buf, [1, 2, 3]);
-        assert_eq!(m.read_words_into(2, &mut buf), Err(MemError::Misaligned { addr: 2, align: 4 }));
-        m.read_words_into(8, &mut []).unwrap();
+        assert_eq!(m.read_words(8, 3).unwrap(), vec![1, 2, 3]);
+        // Errors match read_word's bounds.
+        assert_eq!(m.read_words(60, 3), Err(MemError::OutOfRange { addr: 64, size: 64 }));
+        assert_eq!(m.read_words(2, 3), Err(MemError::Misaligned { addr: 2, align: 4 }));
+        assert_eq!(m.read_words(8, 0).unwrap(), Vec::<u32>::new());
     }
 
     #[test]

@@ -34,14 +34,14 @@ use warp_core::{BatchRunner, PipelineStats, WarpOptions};
 /// Builds the batch runner every figure/table binary uses: all
 /// available hardware threads, overridable with the
 /// `WARP_BENCH_THREADS` environment variable (CI pins it to 4 for the
-/// batch smoke job).
+/// batch smoke job). A set value that is not a positive whole number
+/// exits the process nonzero, naming the variable
+/// ([`measure::env_count`]).
 #[must_use]
 pub fn batch_runner(options: WarpOptions) -> BatchRunner {
     let runner = BatchRunner::new(options);
-    match std::env::var("WARP_BENCH_THREADS").ok().and_then(|v| v.parse::<usize>().ok()) {
-        Some(threads) => runner.with_threads(threads),
-        None => runner,
-    }
+    let threads = measure::env_count("WARP_BENCH_THREADS", runner.threads());
+    runner.with_threads(threads)
 }
 
 /// Formats the per-benchmark pipeline stage timing block the binaries

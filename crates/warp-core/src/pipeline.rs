@@ -74,8 +74,9 @@ pub struct DecompiledKernel {
 /// [`CircuitCache`].
 #[derive(Clone, Debug)]
 pub struct CompiledWcla {
-    /// The compiled circuit (netlist, placed/routed fabric, cycle model).
-    pub circuit: WclaCircuit,
+    /// The compiled circuit (netlist, placed/routed fabric, cycle model),
+    /// shared with every [`WclaDevice`] that hosts it.
+    pub circuit: Arc<WclaCircuit>,
     /// Synthesis cost reporting.
     pub synth: SynthReport,
     /// The DPM's modeled CAD cost for this compile. Unlike the circuit,
@@ -266,7 +267,13 @@ pub fn compile_circuit_cached(
         WclaCircuit::build_cached(decompiled.kernel.clone(), store, caches)
             .map_err(WarpError::Fabric)?;
     let dpm = dpm::estimate(&circuit.kernel, &synth, &circuit.netlist, &circuit.compiled, &work);
-    Ok(CompiledWcla { circuit, synth, dpm, work, fingerprint: decompiled.fingerprint })
+    Ok(CompiledWcla {
+        circuit: Arc::new(circuit),
+        synth,
+        dpm,
+        work,
+        fingerprint: decompiled.fingerprint,
+    })
 }
 
 /// Phase 5: plan the binary rewrite — the invocation stub goes at
@@ -329,7 +336,7 @@ pub fn execute_and_measure(
         options.wcla_power.circuit_power_w(&map_stats, compiled.circuit.model.fabric_clock_hz);
 
     let mut warped = built.instantiate(&mb_config);
-    let (device, hw_stats) = WclaDevice::new(compiled.circuit.clone(), mb_config.clock_hz);
+    let (device, hw_stats) = WclaDevice::new(Arc::clone(&compiled.circuit), mb_config.clock_hz);
     warped.map_peripheral(WCLA_BASE, WCLA_WINDOW, Box::new(device));
     apply_patch(&mut warped, &patched.plan).map_err(WarpError::PatchApply)?;
 

@@ -6,7 +6,7 @@
 //! execution** — which is what the paper's warp processor actually is:
 //!
 //! 1. the MicroBlaze executes in bounded cycle slices
-//!    ([`mb_sim::System::run_slice`]);
+//!    ([`mb_sim::System::run_with_sink`]);
 //! 2. an on-chip profiler ([`warp_profiler::Profiler`], sitting
 //!    directly on the retirement stream as a
 //!    [`mb_sim::TraceSink`]) accumulates backward-branch heat, decaying
@@ -29,6 +29,13 @@
 //! 5. if the hot region later *shifts* (a phased workload), the decayed
 //!    profiler promotes the new loop, the old circuit is evicted (its
 //!    patch reverted), and the runtime re-warps.
+//!
+//! A session keeps one simulated machine for its whole timeline. Each
+//! repeat re-enters the program on it with fresh registers and data, and
+//! instruction memory persists, as the warp processor's instruction BRAM
+//! does: a re-entered program starts warped because the patch is still
+//! there, and nothing is re-attached, re-patched or rebuilt between
+//! repeats.
 //!
 //! The one entry point is [`OnlineSession`]: [`OnlineSession::run`]
 //! drives a workload to completion, and [`OnlineSession::advance`]

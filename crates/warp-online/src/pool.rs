@@ -8,10 +8,11 @@
 //! from a fully warmed run and attached read-only by every session
 //! (copy-on-patch, so a warping session never perturbs siblings).
 //!
-//! A pooled session attaches its image to a fresh [`System`](mb_sim::System),
-//! rearms that system in place for each repeat, and drops it when it
-//! finishes. A server shares one pool across all its workers, so a
-//! binary is imaged once for the whole fleet.
+//! A pooled session asks the pool once, when it builds its
+//! [`System`](mb_sim::System): it attaches the image there, rearms that
+//! system in place for each repeat as every session does, and drops it
+//! when it finishes. A server shares one pool across all its workers,
+//! so a binary is imaged once for the whole fleet.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

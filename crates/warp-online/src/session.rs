@@ -51,6 +51,14 @@
 //! patch that lands mid-loop is safe: the next pass over the loop head
 //! hands the remaining iterations to hardware.
 //!
+//! A session builds one [`System`] at its first slice (attaching its
+//! [`SessionPool`]'s image, if it has one) and keeps it until the
+//! report. A repeat re-enters the program on it with fresh registers
+//! and data but the same instruction memory, so every patch written —
+//! the OCPM's and a tenant's [`OnlineSession::patch_imem`] alike —
+//! persists across repeats, as it does in the warp processor's
+//! instruction BRAM.
+//!
 //! # Sliced, owned, and `Send`
 //!
 //! All of the loop-carried state — the simulated [`System`], the
@@ -112,9 +120,10 @@ pub struct OnlineConfig {
     /// that moved to hardware.
     pub decay_interval: u32,
     /// Number of times to run the application end-to-end on one
-    /// timeline. Patches persist across repeats — a re-entered program
-    /// starts warped, the paper's "transparent optimization amortized
-    /// over reuse".
+    /// timeline. Every repeat re-enters the program on the session's
+    /// one machine, whose instruction memory persists, so patches
+    /// persist across repeats — a re-entered program starts warped, the
+    /// paper's "transparent optimization amortized over reuse".
     pub repeats: u32,
     /// Hard timeline budget across all repeats.
     pub max_cycles: u64,
@@ -205,15 +214,15 @@ pub struct OnlineSession {
     /// The modeled CAD tiers: the circuit cache's, or private ones
     /// built at the first compile.
     cad_caches: Option<Arc<CadCaches>>,
-    /// Shared program images (see [`SessionPool`]).
+    /// Shared program images (see [`SessionPool`]), asked once, when
+    /// the machine is built.
     pool: Option<Arc<SessionPool>>,
-    /// The attached shared image (pooled sessions only).
-    image: Option<Arc<ProgramImage>>,
 
     profiler: Profiler,
     slot: SharedSlot,
-    /// The live system of the current repeat (`None` between repeats
-    /// and after the run completes).
+    /// The session's one machine, built at its first slice (or first
+    /// patch) and kept across every repeat; `None` before that and
+    /// after the run completes.
     sys: Option<System>,
     rep: u32,
 
@@ -247,9 +256,8 @@ impl OnlineSession {
             service: None,
             cad_caches: None,
             pool: None,
-            image: None,
             profiler,
-            slot: SharedSlot::new(),
+            slot: SharedSlot::default(),
             sys: None,
             rep: 0,
             cycles: 0,
@@ -299,12 +307,12 @@ impl OnlineSession {
         self
     }
 
-    /// Shares a [`SessionPool`]: this session attaches the pooled
-    /// frozen program image (building it on first use) to a fresh
-    /// `System` instead of rebuilding decode/block stores privately,
-    /// and rearms that system in place for each repeat. Execution is
-    /// bit-identical to an unpooled session — the pool only changes
-    /// where the program's tables come from.
+    /// Shares a [`SessionPool`]: when this session builds its machine,
+    /// it attaches the pooled frozen program image (building it on
+    /// first use) instead of loading the program and rebuilding
+    /// decode/block stores privately. Execution is bit-identical to an
+    /// unpooled session — the pool only changes where the program's
+    /// tables come from.
     #[must_use]
     pub fn with_pool(mut self, pool: Arc<SessionPool>) -> Self {
         self.pool = Some(pool);
@@ -312,11 +320,11 @@ impl OnlineSession {
     }
 
     /// Attaches `pool` only if the session has none yet — the hook a
-    /// server uses to give every session it schedules the server's
-    /// pool without overriding an explicit
-    /// [`with_pool`](OnlineSession::with_pool) choice. Safe at any
-    /// point: a session whose system is already live keeps it, and
-    /// attaches the image from its next repeat's system on.
+    /// server uses to give every session it hosts the server's pool
+    /// without overriding an explicit
+    /// [`with_pool`](OnlineSession::with_pool) choice. The pool is read
+    /// only when the machine is built, so a session whose machine is
+    /// already live keeps it for the rest of its timeline.
     pub fn adopt_pool(&mut self, pool: &Arc<SessionPool>) {
         if self.pool.is_none() {
             self.pool = Some(Arc::clone(pool));
@@ -398,7 +406,10 @@ impl OnlineSession {
     /// update over the wire protocol) through [`System::write_imem`],
     /// which drops the pre-decoded slots and blocks the words make
     /// stale, so the next fetch of a patched word sees the new code —
-    /// exactly the interface the OCPM itself patches through.
+    /// exactly the interface the OCPM itself patches through. Like the
+    /// OCPM's patch, the write persists across the session's later
+    /// repeats: a re-entered program runs on the same instruction
+    /// memory.
     ///
     /// # Errors
     ///
@@ -410,9 +421,9 @@ impl OnlineSession {
         sys.write_imem(addr, words).map_err(OnlineError::Patch)
     }
 
-    /// Instantiates the current repeat's system if none is live:
-    /// load program + data, map the fabric slot, re-apply the standing
-    /// patch (a re-entered application starts already warped).
+    /// Builds the session's machine if none is live: load program and
+    /// data, and map the fabric slot. The machine then serves every
+    /// repeat until the report.
     ///
     /// With a [`SessionPool`], "load program" means attaching the
     /// shared program image (building it on this workload's first use)
@@ -421,50 +432,29 @@ impl OnlineSession {
         if self.sys.is_some() {
             return Ok(());
         }
-        let image = self.image()?;
+        let image = match &self.pool {
+            Some(pool) => {
+                let key = self.built.fingerprint(&self.config.mb);
+                Some(pool.image_or_build(key, || capture_warm_image(&self.built, &self.config))?)
+            }
+            None => None,
+        };
         let mut sys = instantiate(&self.built, &self.config.mb, image.as_deref())?;
-        sys.map_peripheral(WCLA_BASE, WCLA_WINDOW, Box::new(self.slot.port()));
-        if let Some(a) = &self.active {
-            apply_patch(&mut sys, &a.plan).map_err(OnlineError::Patch)?;
-        }
+        sys.map_peripheral(WCLA_BASE, WCLA_WINDOW, Box::new(self.slot.clone()));
         self.sys = Some(sys);
         Ok(())
     }
 
-    /// The shared image for this workload — the session's cached
-    /// handle, or the pool's (a warm capture run on its first use
-    /// pool-wide) — or `None` for an unpooled session.
-    fn image(&mut self) -> Result<Option<Arc<ProgramImage>>, OnlineError> {
-        if let (None, Some(pool)) = (&self.image, &self.pool) {
-            let key = self.built.fingerprint(&self.config.mb);
-            let image =
-                pool.image_or_build(key, || capture_warm_image(&self.built, &self.config))?;
-            self.image = Some(image);
-        }
-        Ok(self.image.clone())
-    }
-
-    /// Rolls the live system into the next repeat **in place**: reset
-    /// run state, restore the pristine program (re-attach the shared
-    /// image), reload data, re-apply the standing patch. Equivalent to
-    /// dropping the system and instantiating a fresh one — the repeat's
-    /// timeline is bit-identical — but allocation-free.
-    ///
-    /// Unpooled sessions have no image to restore from, so they keep
-    /// the drop-and-rebuild path.
+    /// Re-enters the program on the same machine: reset run state and
+    /// reload data. Instruction memory is untouched, as the warp
+    /// processor's instruction BRAM is, so a standing patch is still in
+    /// place (the repeat starts warped) and so is any tenant patch or
+    /// the stub words of an evicted circuit past the live stub, which
+    /// nothing branches to.
     fn rearm_repeat(&mut self) -> Result<(), OnlineError> {
-        let Some(image) = self.image.clone() else {
-            self.sys = None;
-            return Ok(());
-        };
         let sys = self.sys.as_mut().expect("exited repeat had a live system");
-        sys.reset_run_state(image.entry_pc());
-        sys.attach_image(&image);
-        load_data(sys, &self.built)?;
-        if let Some(a) = &self.active {
-            apply_patch(sys, &a.plan).map_err(OnlineError::Patch)?;
-        }
-        Ok(())
+        sys.reset_run_state(self.built.program.base);
+        load_data(sys, &self.built)
     }
 
     /// Drops the finished session's `System`. A background compile the
@@ -513,7 +503,7 @@ impl OnlineSession {
         let sys = self.sys.as_mut().expect("ensure_system populated the system");
 
         let out = sys
-            .run_slice(self.config.slice_cycles, &mut self.profiler)
+            .run_with_sink(self.config.slice_cycles, &mut self.profiler)
             .map_err(OnlineError::Run)?;
         self.cycles += out.cycles;
         self.instructions += out.instructions;
@@ -585,7 +575,7 @@ impl OnlineSession {
             }
             apply_patch(sys, &p.plan).map_err(OnlineError::Patch)?;
             let (device, stats) =
-                WclaDevice::new(p.compiled.circuit.clone(), self.config.mb.clock_hz);
+                WclaDevice::new(Arc::clone(&p.compiled.circuit), self.config.mb.clock_hz);
             self.slot.install(device);
             let event_index = self.events.len();
             let work = p.compiled.work;
@@ -671,7 +661,7 @@ impl OnlineSession {
         // view persists across re-entries, so heat retired in a run's
         // final slice (a kernel that finishes right before the exit)
         // must still be able to commit a warp — it lands in the next
-        // repeat, already patched at load time.
+        // repeat.
         if let StopReason::Exited(code) = out.stop {
             self.exit_code = code;
             let sys = self.sys.as_ref().expect("exited repeat had a live system");
@@ -1110,5 +1100,31 @@ mod tests {
         // Out-of-range writes surface as patch errors.
         let err = session.patch_imem(u32::MAX - 64, &[1]).unwrap_err();
         assert!(matches!(err, OnlineError::Patch(_)));
+    }
+
+    /// A re-entered program runs on the same instruction memory, pooled
+    /// or not: a word a tenant wrote past the program during repeat 1 is
+    /// still there during repeat 2, and harmless to the run.
+    #[test]
+    fn patched_words_persist_into_the_next_repeat_pooled_or_not() {
+        let built = brev();
+        let config = OnlineConfig { slice_cycles: 2_000, repeats: 2, ..OnlineConfig::default() };
+        let reference = brev_session(&built, config.clone()).run().unwrap();
+        let addr = built.program.base + 4 * built.program.words.len() as u32 + 0x100;
+        for pool in [None, Some(Arc::new(SessionPool::new()))] {
+            let pooled = pool.is_some();
+            let mut session = brev_session(&built, config.clone());
+            if let Some(pool) = pool {
+                session = session.with_pool(pool);
+            }
+            session.patch_imem(addr, &[0xDEAD_BEEF]).unwrap();
+            while session.rep == 0 {
+                assert_eq!(session.advance(1), SessionStatus::Runnable);
+            }
+            assert_eq!(session.advance(1), SessionStatus::Runnable, "repeat 2 is under way");
+            let sys = session.sys.as_ref().expect("repeat 2 runs on a live system");
+            assert_eq!(sys.imem().read_word(addr), Ok(0xDEAD_BEEF), "pooled: {pooled}");
+            assert_eq!(session.run().unwrap(), reference, "pooled: {pooled}");
+        }
     }
 }

@@ -1,9 +1,9 @@
 //! Session-pool equivalence: shared program images are pure plumbing.
 //!
 //! 1. **Pooling determinism** — for every registry workload, a pooled
-//!    session (attaching the shared frozen image, rearming repeats in
-//!    place) reports bit-identically to an unpooled session that
-//!    rebuilds everything from scratch.
+//!    session (attaching the shared frozen image) reports
+//!    bit-identically to an unpooled session that loads the program and
+//!    builds its decode and block tables itself.
 //! 2. **Copy-on-patch isolation** — two sessions share one program
 //!    image; hot-patching one mid-trace changes *its* outcome and only
 //!    its outcome: the sibling stays byte-identical to an unshared run.

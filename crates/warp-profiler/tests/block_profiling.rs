@@ -82,7 +82,7 @@ proptest! {
             // land inside blocks constantly.
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let slice = 1 + (state >> 33) % 4096;
-            let out = sys.run_slice(slice, &mut p).expect("slice runs");
+            let out = sys.run_with_sink(slice, &mut p).expect("slice runs");
             spent += out.cycles;
             prop_assert!(spent <= MAX_CYCLES, "runaway sliced run (seed {:#x})", seed);
             if out.exited() {

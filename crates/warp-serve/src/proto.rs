@@ -60,7 +60,8 @@ pub enum Request {
         /// Slices to grant.
         slices: u64,
     },
-    /// Hot-patch instruction memory.
+    /// Hot-patch instruction memory. The words persist across the
+    /// session's later repeats.
     Patch {
         /// Session id.
         id: u64,

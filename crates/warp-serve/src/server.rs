@@ -9,8 +9,9 @@
 //!   worker has taken it out and owns it exclusively for one quantum),
 //!   or `Done` (only the outcome remains). A session can never be
 //!   advanced by two workers at once because only one of them can hold
-//!   it; clients that need the machine itself (patch, wait) wait on a
-//!   condvar until it is parked again.
+//!   it; a client that needs the machine itself (patch) waits on a
+//!   condvar until it is parked again and then takes it out the way a
+//!   worker does, so the patch runs outside the table lock.
 //! * **One table, one ready queue.** The session slots and a FIFO queue
 //!   of runnable ids sit behind one mutex. Workers pop the queue's
 //!   front, advance the session outside the lock, and park it back;
@@ -29,17 +30,20 @@
 //!   decrement grants as they advance, so both modes flow through the
 //!   identical scheduling path.
 //! * **One image pool.** The server hands its one
-//!   [`SessionPool`](warp_online::SessionPool) to every session it
-//!   schedules ([`OnlineSession::adopt_pool`]), so sessions of the same
-//!   workload attach one frozen program image instead of each rebuilding
-//!   its decode and block tables. Pooling is bit-identical plumbing (see
-//!   `warp-online/tests/pooling.rs`), so determinism is untouched.
+//!   [`SessionPool`](warp_online::SessionPool) to every session when it
+//!   is created ([`OnlineSession::adopt_pool`]), so sessions of the same
+//!   workload attach one frozen program image when they build their
+//!   machine instead of each rebuilding its decode and block tables, and
+//!   then rearm that machine in place for every repeat. Pooling is
+//!   bit-identical plumbing (see `warp-online/tests/pooling.rs`), so
+//!   determinism is untouched.
 //! * **A failure costs one session.** A worker catches a panic while it
-//!   advances a session (from a user policy, say), drops that session,
-//!   and parks [`OnlineError::Panicked`] as its outcome for
-//!   [`Server::wait`]; the worker keeps serving. Nothing that runs under
-//!   the table lock panics on a session's input: a program that does
-//!   not fit its memories fails that session with [`OnlineError::Run`].
+//!   advances a session (from a user policy, say), and [`Server::patch`]
+//!   one while it patches a session; either drops that session and parks
+//!   [`OnlineError::Panicked`] as its outcome for [`Server::wait`], and
+//!   the worker keeps serving. Nothing that runs under the table lock
+//!   touches a session's machine: a program that does not fit its
+//!   memories fails that session with [`OnlineError::Run`].
 //!
 //! Determinism: a session's timeline depends only on the sequence of
 //! `advance` calls applied to it, never on wall-clock or on which
@@ -258,9 +262,9 @@ impl Server {
     /// [`CadService`](warp_core::CadService) — because those are
     /// builder decisions of [`OnlineSession`], not of the server. The
     /// one builder choice the server makes for it: a session without a
-    /// [`SessionPool`] adopts the server's when a worker first
-    /// schedules it.
-    pub fn create(&self, session: OnlineSession) -> SessionId {
+    /// [`SessionPool`] adopts the server's here.
+    pub fn create(&self, mut session: OnlineSession) -> SessionId {
+        session.adopt_pool(&self.shared.pool);
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let snapshot = snapshot_of(&session, false);
         self.shared.table().slots.insert(
@@ -310,30 +314,53 @@ impl Server {
     }
 
     /// Hot-patches the session's instruction memory. Waits until the
-    /// session parks (patching never races a quantum), then applies the
-    /// write through the live system — the same path the OCPM patches
-    /// through, so the next fetch of a patched word decodes fresh.
+    /// session parks (patching never races a quantum), takes it out of
+    /// its slot as a worker does, and applies the write outside the
+    /// table lock through the live system — the same path the OCPM
+    /// patches through, so the next fetch of a patched word decodes
+    /// fresh. The write persists across the session's later repeats. A
+    /// panic while patching costs the session, as one while advancing
+    /// does.
     ///
     /// # Errors
     ///
     /// [`ServeError::UnknownSession`] for a bad id,
     /// [`ServeError::SessionDone`] if it already completed, or
     /// [`ServeError::Session`] if the write lands outside instruction
-    /// memory or the session's program cannot be loaded.
+    /// memory, the session's program cannot be loaded, or the patch
+    /// panicked.
     pub fn patch(&self, id: SessionId, addr: u32, words: &[u32]) -> Result<(), ServeError> {
-        let mut table = self.shared.table();
-        loop {
-            let slot = table.slots.get_mut(&id).ok_or(ServeError::UnknownSession(id))?;
-            match &mut slot.state {
-                SlotState::Parked(session) => {
-                    return session.patch_imem(addr, words).map_err(ServeError::Session);
-                }
-                SlotState::Done(_) => return Err(ServeError::SessionDone(id)),
-                SlotState::Running => {
-                    table = self.shared.park_cv.wait(table).expect("serve table lock");
+        let mut session = {
+            let mut table = self.shared.table();
+            loop {
+                let slot = table.slots.get_mut(&id).ok_or(ServeError::UnknownSession(id))?;
+                match std::mem::replace(&mut slot.state, SlotState::Running) {
+                    SlotState::Parked(session) => break session,
+                    SlotState::Running => {
+                        table = self.shared.park_cv.wait(table).expect("serve table lock");
+                    }
+                    done => {
+                        slot.state = done;
+                        return Err(ServeError::SessionDone(id));
+                    }
                 }
             }
-        }
+        };
+        let (status, result) =
+            match panic::catch_unwind(AssertUnwindSafe(|| session.patch_imem(addr, words))) {
+                Ok(patched) => (Ok(session.status()), patched.map_err(ServeError::Session)),
+                Err(payload) => {
+                    let msg = message(&*payload);
+                    (Err(msg.clone()), Err(ServeError::Session(OnlineError::Panicked(msg))))
+                }
+            };
+        let discarded = park(&self.shared, &mut self.shared.table(), id, session, 0, status);
+        // A worker may have popped this session's ready entry while the
+        // patch held it, in which case `park` requeued it.
+        self.shared.work_cv.notify_one();
+        self.shared.park_cv.notify_all();
+        drop(discarded);
+        result
     }
 
     /// The session's progress counters, as of the last time it parked.
@@ -450,8 +477,8 @@ fn worker_loop(shared: &Shared, quantum_slices: u64) {
         // Advance outside the lock: this is the expensive part, and the
         // whole point — many workers simulate many sessions at once. A
         // panic costs this session, never the worker.
-        session.adopt_pool(&shared.pool);
-        let advanced = panic::catch_unwind(AssertUnwindSafe(|| session.advance(budget)));
+        let advanced = panic::catch_unwind(AssertUnwindSafe(|| session.advance(budget)))
+            .map_err(|payload| message(&*payload));
         shared.fleet.quanta.fetch_add(1, Ordering::Relaxed);
 
         // A requeue in `park` needs no wakeup: this worker claims again
@@ -464,16 +491,19 @@ fn worker_loop(shared: &Shared, quantum_slices: u64) {
     }
 }
 
-/// Puts a session back into its slot after one quantum: requeued while
-/// it has grant left, or finished with its outcome recorded. Returns a
-/// machine nobody will run again, to be dropped outside the lock.
+/// Puts a session back into its slot after one quantum (or a patch,
+/// with a `budget` of 0): requeued while it has grant left and no ready
+/// entry, or finished with its outcome recorded. `advanced` is the
+/// session's status, or the message of the panic that interrupted it.
+/// Returns a machine nobody will run again, to be dropped outside the
+/// lock.
 fn park(
     shared: &Shared,
     table: &mut Table,
     id: SessionId,
     session: Box<OnlineSession>,
     budget: u64,
-    advanced: std::thread::Result<SessionStatus>,
+    advanced: Result<SessionStatus, String>,
 ) -> Option<Box<OnlineSession>> {
     let Some(slot) = table.slots.get_mut(&id) else {
         // Removed while running.
@@ -487,19 +517,21 @@ fn park(
     slot.grant = slot.grant.saturating_sub(budget);
     let status = match advanced {
         Ok(status) => status,
-        Err(payload) => {
+        Err(message) => {
             // Drop the machine, whose state the panic interrupted, and
             // park its failure for `wait`.
             shared.fleet.failed.fetch_add(1, Ordering::Relaxed);
             slot.snapshot.done = true;
-            slot.state = SlotState::Done(Some(Err(OnlineError::Panicked(message(&*payload)))));
+            slot.state = SlotState::Done(Some(Err(OnlineError::Panicked(message))));
             return Some(session);
         }
     };
     slot.snapshot = snapshot_of(&session, status != SessionStatus::Runnable);
     if status == SessionStatus::Runnable {
         slot.state = SlotState::Parked(session);
-        if slot.grant > 0 {
+        // A patch leaves the ready queue as it found it, so a session
+        // patched while queued is still queued.
+        if slot.grant > 0 && !slot.queued {
             // Back of the queue: round-robin fairness.
             slot.queued = true;
             table.ready.push_back(id);
@@ -629,6 +661,61 @@ mod tests {
         // the live system even while the scheduler owns the session.
         let err = server.patch(id, u32::MAX - 64, &[1]).unwrap_err();
         assert!(matches!(err, ServeError::Session(_)));
+    }
+
+    #[test]
+    fn patch_before_the_first_slice_then_wait_reports_as_standalone() {
+        let reference = session("brev").run().unwrap();
+        let server = Server::start(ServeConfig { workers: 2, quantum_slices: 2 });
+        let id = server.create(session("brev"));
+        // A word past the program and its stub: the patch builds the
+        // session's machine (and the pool's image) outside the table
+        // lock, and nothing ever branches to the word.
+        let built = workloads::by_name("brev").unwrap().build(MbFeatures::paper_default());
+        let addr = built.program.base + 4 * built.program.words.len() as u32 + 0x100;
+        server.patch(id, addr, &[0xDEAD_BEEF]).unwrap();
+        assert_eq!(server.wait(id).unwrap(), reference);
+        assert_eq!(server.sessions(), 0);
+    }
+
+    #[test]
+    fn patch_racing_remove_neither_panics_nor_hangs() {
+        let server = Arc::new(Server::start(ServeConfig { workers: 2, quantum_slices: 2 }));
+        for _ in 0..8 {
+            let id = server.create(session("brev"));
+            server.step(id, 3).unwrap();
+            let start = Arc::new(std::sync::Barrier::new(2));
+            let (tx, rx) = std::sync::mpsc::channel();
+            let patcher = {
+                let (server, start) = (Arc::clone(&server), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    let _ = tx.send(server.patch(id, 0x100, &[0]));
+                })
+            };
+            start.wait();
+            server.remove(id);
+            let patched = rx
+                .recv_timeout(std::time::Duration::from_secs(120))
+                .expect("the patch must return");
+            patcher.join().expect("the patch must not panic");
+            // Whichever came first, the patch either applied or found
+            // the session gone.
+            assert!(
+                matches!(
+                    patched,
+                    Ok(()) | Err(ServeError::UnknownSession(_) | ServeError::SessionDone(_))
+                ),
+                "{patched:?}"
+            );
+            // A session removed while a worker runs it leaves the table
+            // when the worker parks it.
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+            while server.sessions() > 0 {
+                assert!(std::time::Instant::now() < deadline, "the session must leave the table");
+                std::thread::yield_now();
+            }
+        }
     }
 
     #[test]

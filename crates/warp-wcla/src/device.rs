@@ -64,7 +64,7 @@ impl WclaStats {
 
 /// The WCLA peripheral instance.
 pub struct WclaDevice {
-    circuit: WclaCircuit,
+    circuit: Arc<WclaCircuit>,
     mb_clock_hz: u64,
     count: u32,
     bases: [u32; 3],
@@ -77,7 +77,9 @@ pub struct WclaDevice {
 
 impl WclaDevice {
     /// Creates a device for a compiled circuit; returns the device and a
-    /// shared handle to its activity statistics.
+    /// shared handle to its activity statistics. The device shares the
+    /// circuit (a cached compile stays one allocation however many
+    /// devices host it).
     ///
     /// The handle is `Arc<Mutex<_>>` rather than `Rc<RefCell<_>>`: the
     /// device is mapped into a [`System`](mb_sim::System) that a
@@ -86,7 +88,7 @@ impl WclaDevice {
     /// uncontended in practice — the device mutates it from the bus and
     /// the session reads it between slices, never concurrently.
     #[must_use]
-    pub fn new(circuit: WclaCircuit, mb_clock_hz: u64) -> (Self, Arc<Mutex<WclaStats>>) {
+    pub fn new(circuit: Arc<WclaCircuit>, mb_clock_hz: u64) -> (Self, Arc<Mutex<WclaStats>>) {
         let stats = Arc::new(Mutex::new(WclaStats::default()));
         let n_accs = circuit.kernel.accs.len();
         let n_invs = circuit.kernel.invariants.len();
@@ -202,7 +204,7 @@ mod tests {
         let built = workloads::by_name("brev").unwrap().build(MbFeatures::paper_default());
         let kernel = decompile_loop(&built.program, built.kernel.head, built.kernel.tail).unwrap();
         let (circuit, _) = WclaCircuit::build(kernel).unwrap();
-        let (mut dev, stats) = WclaDevice::new(circuit, 85_000_000);
+        let (mut dev, stats) = WclaDevice::new(Arc::new(circuit), 85_000_000);
 
         let mut dmem = Bram::new(64 * 1024);
         dmem.load_words(0x1000, &[0x8000_0000, 1, 0xFFFF_0000]).unwrap();
@@ -237,7 +239,7 @@ mod tests {
         let built = workloads::by_name("crc32").unwrap().build(MbFeatures::paper_default());
         let kernel = decompile_loop(&built.program, built.kernel.head, built.kernel.tail).unwrap();
         let (circuit, _) = WclaCircuit::build(kernel.clone()).unwrap();
-        let (mut dev, _) = WclaDevice::new(circuit, 85_000_000);
+        let (mut dev, _) = WclaDevice::new(Arc::new(circuit), 85_000_000);
 
         let mut dmem = Bram::new(4096);
         let msg = [5u32, 7, 11];

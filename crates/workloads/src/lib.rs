@@ -208,31 +208,20 @@ impl BuiltWorkload {
 
     /// Checks final data memory against the golden model.
     ///
-    /// Regions are read with one bulk [`Bram::read_words_into`] each
-    /// into a buffer reused across checks — this runs after every
-    /// simulated execution (including each warped run), so it must not
-    /// allocate per word.
+    /// Each check is compared against the BRAM's words in place — this
+    /// runs after every simulated execution (including each repeat of
+    /// an online session), so it allocates nothing. A word past the end
+    /// of the BRAM reads as `0xDEAD_DEAD`.
     ///
     /// # Errors
     ///
     /// Returns the first mismatch found.
     pub fn verify(&self, dmem: &Bram) -> Result<(), VerifyError> {
-        let mut buf: Vec<u32> = Vec::new();
+        let words = dmem.words();
         for check in &self.checks {
-            buf.clear();
-            buf.resize(check.expected.len(), 0);
-            if dmem.read_words_into(check.addr, &mut buf).is_err() {
-                // Region (partially) outside memory: fall back to the
-                // word-by-word path so the first unreadable or wrong
-                // word is reported, exactly as before.
-                buf.clear();
-                buf.extend(
-                    (0..check.expected.len()).map(|i| {
-                        dmem.read_word(check.addr + (i as u32) * 4).unwrap_or(0xDEAD_DEAD)
-                    }),
-                );
-            }
-            for (i, (&expected, &actual)) in check.expected.iter().zip(&buf).enumerate() {
+            let first = (check.addr / 4) as usize;
+            for (i, &expected) in check.expected.iter().enumerate() {
+                let actual = words.get(first + i).copied().unwrap_or(0xDEAD_DEAD);
                 if actual != expected {
                     let addr = check.addr + (i as u32) * 4;
                     return Err(VerifyError { label: check.label.clone(), addr, expected, actual });
@@ -476,6 +465,30 @@ mod tests {
             base,
             "the machine configuration is part of the image identity"
         );
+    }
+
+    #[test]
+    fn verify_reports_the_first_wrong_word_and_reads_past_the_end_as_dead() {
+        let mut built = by_name("brev").unwrap().build(MbFeatures::paper_default());
+        let mut dmem = Bram::new(64);
+        dmem.load_words(0x30, &[1, 2, 3, 4]).unwrap();
+        let check = |label: &str, addr, expected: &[u32]| MemCheck {
+            label: label.into(),
+            addr,
+            expected: expected.to_vec(),
+        };
+
+        built.checks = vec![check("fits", 0x30, &[1, 2, 3, 4])];
+        assert_eq!(built.verify(&dmem), Ok(()));
+
+        built.checks = vec![check("ok", 0x30, &[1, 2]), check("wrong", 0x38, &[3, 5])];
+        let wrong = VerifyError { label: "wrong".into(), addr: 0x3C, expected: 5, actual: 4 };
+        assert_eq!(built.verify(&dmem), Err(wrong));
+
+        built.checks = vec![check("tail", 0x38, &[3, 4, 9])];
+        let past =
+            VerifyError { label: "tail".into(), addr: 0x40, expected: 9, actual: 0xDEAD_DEAD };
+        assert_eq!(built.verify(&dmem), Err(past));
     }
 
     #[test]

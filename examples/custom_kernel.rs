@@ -13,6 +13,8 @@
 //! cargo run --release --example custom_kernel
 //! ```
 
+use std::sync::Arc;
+
 use mb_isa::{Assembler, Insn, Reg};
 use mb_sim::{MbConfig, System, EXIT_PORT_BASE};
 use warp_profiler::{Profiler, ProfilerConfig};
@@ -108,7 +110,7 @@ fn main() {
     warped.load_program(&program).unwrap();
     warped.load_data(A_ADDR, &a).unwrap();
     warped.load_data(B_ADDR, &b).unwrap();
-    let (device, _) = WclaDevice::new(circuit, 85_000_000);
+    let (device, _) = WclaDevice::new(Arc::new(circuit), 85_000_000);
     warped.map_peripheral(WCLA_BASE, WCLA_WINDOW, Box::new(device));
     apply_patch(&mut warped, &plan).unwrap();
     let hw = warped.run(100_000_000).unwrap();

@@ -279,8 +279,8 @@ fn sliced_block_execution_stops_at_step_engine_boundaries() {
     let mut trace_b = Trace::new();
     let mut trace_s = Trace::new();
     for (i, &budget) in budgets.iter().cycle().enumerate() {
-        let out_b = blocks.run_slice(budget, &mut trace_b).unwrap();
-        let out_s = stepped.run_slice(budget, &mut trace_s).unwrap();
+        let out_b = blocks.run_with_sink(budget, &mut trace_b).unwrap();
+        let out_s = stepped.run_with_sink(budget, &mut trace_s).unwrap();
         assert_eq!(out_b, out_s, "slice {i} (budget {budget}) diverged");
         assert_eq!(
             blocks.cpu().pc(),
@@ -324,7 +324,7 @@ fn mid_trace_patches_to_body_and_guard_words_take_effect() {
         let (program, body_pc, guard_pc) = hot_loop();
         let mut sys = System::new(config.clone());
         sys.load_program(&program).unwrap();
-        let out = sys.run_slice(100, &mut NullSink).unwrap();
+        let out = sys.run_with_sink(100, &mut NullSink).unwrap();
         assert!(!out.exited(), "slice must stop mid-loop");
         sys.write_imem(body_pc, &[encode(&Insn::addik(Reg::R4, Reg::R4, 7))]).unwrap();
         sys.write_imem(guard_pc, &[encode(&Insn::addik(Reg::R5, Reg::R5, 1))]).unwrap();
@@ -353,7 +353,7 @@ fn scattered_writes_mid_slice_still_invalidate_traces() {
         let (program, body_pc, _) = hot_loop();
         let mut sys = System::new(config.clone());
         sys.load_program(&program).unwrap();
-        let out = sys.run_slice(100, &mut NullSink).unwrap();
+        let out = sys.run_with_sink(100, &mut NullSink).unwrap();
         assert!(!out.exited(), "slice must stop mid-loop");
         for i in 0..12u32 {
             sys.write_imem(0x8000 + i * 64, &[encode(&Insn::addik(Reg::R5, Reg::R5, 1))]).unwrap();
@@ -402,8 +402,8 @@ fn guard_failure_side_exit_resumes_at_the_architectural_boundary() {
         let mut trace_t = Trace::new();
         let mut trace_s = Trace::new();
         loop {
-            let out_t = traces.run_slice(budget, &mut trace_t).unwrap();
-            let out_s = stepped.run_slice(budget, &mut trace_s).unwrap();
+            let out_t = traces.run_with_sink(budget, &mut trace_t).unwrap();
+            let out_s = stepped.run_with_sink(budget, &mut trace_s).unwrap();
             assert_eq!(out_t, out_s, "budget {budget} diverged");
             assert_eq!(traces.cpu().pc(), stepped.cpu().pc(), "budget {budget}: boundary PC");
             if out_t.exited() {
@@ -444,8 +444,8 @@ fn trailing_imm_guard_prefix_survives_slice_boundaries() {
         let mut trace_f = Trace::new();
         let mut trace_s = Trace::new();
         loop {
-            let out_f = fast.run_slice(budget, &mut trace_f).unwrap();
-            let out_s = stepped.run_slice(budget, &mut trace_s).unwrap();
+            let out_f = fast.run_with_sink(budget, &mut trace_f).unwrap();
+            let out_s = stepped.run_with_sink(budget, &mut trace_s).unwrap();
             assert_eq!(out_f, out_s, "budget {budget} diverged");
             assert_eq!(
                 fast.cpu(),
