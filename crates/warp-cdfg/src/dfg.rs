@@ -172,32 +172,18 @@ impl Dfg {
     /// Evaluates the whole graph given resolvers for the three input
     /// kinds, returning every node's value.
     ///
-    /// This is the reference semantics used to cross-check the
-    /// synthesized netlist and the WCLA execution.
+    /// This is the reference semantics: [`LoopKernel::interpret`] runs
+    /// it, and the synthesized netlist and the WCLA executor are
+    /// cross-checked against it.
+    ///
+    /// [`LoopKernel::interpret`]: crate::LoopKernel::interpret
     pub fn eval(
         &self,
-        load: impl FnMut(usize, i32) -> u32,
-        invariant: impl FnMut(Reg) -> u32,
-        acc: impl FnMut(Reg) -> u32,
-    ) -> Vec<u32> {
-        let mut vals = Vec::with_capacity(self.nodes.len());
-        self.eval_into(&mut vals, load, invariant, acc);
-        vals
-    }
-
-    /// [`eval`](Dfg::eval) into a caller-owned buffer (cleared, then
-    /// refilled in topological order), reusing its allocation. This is
-    /// the per-iteration hot path of the WCLA executor, where a fresh
-    /// `Vec` every iteration would dominate the evaluation itself.
-    pub fn eval_into(
-        &self,
-        vals: &mut Vec<u32>,
         mut load: impl FnMut(usize, i32) -> u32,
         mut invariant: impl FnMut(Reg) -> u32,
         mut acc: impl FnMut(Reg) -> u32,
-    ) {
-        vals.clear();
-        vals.reserve(self.nodes.len());
+    ) -> Vec<u32> {
+        let mut vals = Vec::with_capacity(self.nodes.len());
         for n in &self.nodes {
             let a = |i: usize| -> u32 { vals[n.args[i].0 as usize] };
             let v = match n.op {
@@ -223,6 +209,7 @@ impl Dfg {
             };
             vals.push(v);
         }
+        vals
     }
 }
 

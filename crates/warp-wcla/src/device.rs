@@ -92,6 +92,7 @@ impl WclaDevice {
         let stats = Arc::new(Mutex::new(WclaStats::default()));
         let n_accs = circuit.kernel.accs.len();
         let n_invs = circuit.kernel.invariants.len();
+        let scratch = ExecScratch::new(&circuit.tape);
         (
             WclaDevice {
                 circuit,
@@ -101,7 +102,7 @@ impl WclaDevice {
                 accs: vec![0; n_accs],
                 invs: vec![0; n_invs],
                 pending_wait: 0,
-                scratch: ExecScratch::default(),
+                scratch,
                 stats: Arc::clone(&stats),
             },
             stats,
@@ -122,7 +123,7 @@ impl WclaDevice {
         // exactly as the register file semantics demand.
         let mut ptrs = self.bases;
         let outcome = executor::execute_flat(
-            kernel,
+            &self.circuit.tape,
             &self.circuit.model,
             self.count,
             &mut ptrs[..kernel.streams.len()],

@@ -8,18 +8,34 @@
 //! then serializes for [`MAC_LATENCY`] cycles on
 //! the single hard multiplier.
 //!
-//! Functional behaviour comes from [`execute_flat`], which evaluates
-//! the kernel's word-level DFG — the source of truth the LUT netlist is
-//! synthesized from. The tests below pin it against the kernel
-//! interpreter and against a bit-level executor that evaluates the
-//! mapped netlist every iteration; the netlist's equivalence to the
-//! configuration bitstream is established by the fabric crate's tests.
+//! Functional behaviour comes from [`execute_flat`], which runs the
+//! kernel's word-level DFG — the source of truth the LUT netlist is
+//! synthesized from — lowered once to a [`Tape`]. The DADG fetches the
+//! next iteration's operands while the logic settles on the current
+//! one; the executor stretches that overlap to chunks of up to 64
+//! iterations. It fetches every load of a chunk first, evaluates the
+//! DFG a column (one node across the whole chunk) at a time, and writes
+//! the stores back iteration by iteration. Fetching ahead is sound only
+//! when no early load reads a word that a pending store writes and no
+//! access faults, so a chunk whose store span meets its load span, or
+//! any of whose addresses would be misaligned or outside the BRAM, runs
+//! one iteration at a time instead, each access checked in DADG order.
+//! The tests below pin the executor against the kernel interpreter and
+//! against a bit-level executor that evaluates the mapped netlist every
+//! iteration; the netlist's equivalence to the configuration bitstream
+//! is established by the fabric crate's tests, and
+//! `tests/generated_kernels.rs` pins the chunks and their fallback on
+//! generated kernels.
 
 use mb_sim::{Bram, MemError};
+use warp_cdfg::{LoopKernel, Op};
 use warp_fabric::CompiledCircuit;
 use warp_synth::LutNetlist;
 
 use crate::{FABRIC_CLOCK_HZ, MAC_LATENCY};
+
+/// Iterations per chunk: the height of the executor's columns.
+const CHUNK: usize = 64;
 
 /// The derived cycle model for one compiled kernel.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -41,11 +57,7 @@ pub struct ExecModel {
 impl ExecModel {
     /// Derives the model from a compiled circuit.
     #[must_use]
-    pub fn derive(
-        kernel: &warp_cdfg::LoopKernel,
-        netlist: &LutNetlist,
-        compiled: &CompiledCircuit,
-    ) -> Self {
+    pub fn derive(kernel: &LoopKernel, netlist: &LutNetlist, compiled: &CompiledCircuit) -> Self {
         let fabric_clock_hz = FABRIC_CLOCK_HZ;
         let period_ns = 1e9 / fabric_clock_hz as f64;
         let compute_cycles = (compiled.timing.critical_path_ns / period_ns).ceil().max(1.0) as u64;
@@ -76,15 +88,277 @@ impl ExecModel {
     }
 }
 
-/// Reusable per-device evaluation buffers: a [`WclaDevice`] is invoked
-/// many times per warp (once per dispatch of the patched loop), and the
-/// serving hot path must not allocate per invocation.
+/// One computed node: its operation, its own column and its operands'
+/// columns (a unary operation names its operand twice).
+#[derive(Clone, Copy, Debug)]
+struct Step {
+    op: Op,
+    dst: usize,
+    a: usize,
+    b: usize,
+}
+
+/// One DADG access per iteration: a stream, a byte offset from its
+/// cursor, and the column loaded into or stored from. A load no node
+/// reads fills no column, but is still fetched.
+#[derive(Clone, Copy, Debug)]
+struct Access<S> {
+    stream: usize,
+    offset: i32,
+    slot: S,
+}
+
+/// A [`LoopKernel`]'s word-level DFG lowered once for [`execute_flat`].
+///
+/// [`Tape::lower`] resolves every operand to a column: node `i` owns
+/// the `i`-th column of an [`ExecScratch`], one word per iteration of a
+/// chunk. Constants, invariants and inputs the kernel does not provide
+/// become column fills, each DADG load names the column it fills, and
+/// every other node becomes one step. Steps that do not depend on an
+/// accumulator run over a whole column at once; the accumulator cone
+/// runs iteration by iteration, each accumulator read taking the
+/// previous iteration's next-value column.
+///
+/// Built from the kernel alone, so it needs no CAD, and kept in the
+/// [`WclaCircuit`](crate::WclaCircuit), so every device hosting a
+/// cached circuit shares it.
+#[derive(Clone, Debug)]
+pub struct Tape {
+    /// Columns: one per DFG node.
+    slots: usize,
+    /// Bytes each stream advances per iteration.
+    strides: Vec<i32>,
+    /// Loads in DADG order: stream by stream, offsets in kernel order.
+    loads: Vec<Access<Option<usize>>>,
+    /// Stores in kernel order.
+    stores: Vec<Access<usize>>,
+    /// Constant columns, with inputs the kernel does not provide as 0.
+    consts: Vec<(usize, u32)>,
+    /// Invariant columns and the invariant index filling each.
+    invs: Vec<(usize, usize)>,
+    /// Accumulator-free steps, in topological order.
+    columns: Vec<Step>,
+    /// Accumulator-read columns and the accumulator index each reads.
+    acc_reads: Vec<(usize, usize)>,
+    /// Steps that depend on an accumulator, in topological order.
+    cone: Vec<Step>,
+    /// The next-value column of each accumulator.
+    acc_next: Vec<usize>,
+}
+
+impl Tape {
+    /// Lowers `kernel`'s DFG. An invariant or accumulator the kernel
+    /// does not list, or a load its streams do not fetch, reads 0;
+    /// nodes loading one (stream, offset) share the first one's column.
+    #[must_use]
+    pub fn lower(kernel: &LoopKernel) -> Self {
+        let nodes = kernel.dfg.nodes();
+        let mut tape = Tape {
+            slots: nodes.len(),
+            strides: kernel.streams.iter().map(|s| s.stride).collect(),
+            loads: Vec::new(),
+            stores: Vec::new(),
+            consts: Vec::new(),
+            invs: Vec::new(),
+            columns: Vec::new(),
+            acc_reads: Vec::new(),
+            cone: Vec::new(),
+            acc_next: Vec::new(),
+        };
+        // Per node: the column holding its value, and whether it
+        // depends on an accumulator.
+        let mut slot: Vec<usize> = Vec::with_capacity(nodes.len());
+        let mut in_cone = vec![false; nodes.len()];
+        for (i, node) in nodes.iter().enumerate() {
+            let mut col = i;
+            match node.op {
+                Op::LoadValue { stream, offset } => {
+                    let fetched = kernel
+                        .streams
+                        .get(stream)
+                        .is_some_and(|s| s.load_offsets.contains(&offset));
+                    if fetched {
+                        col = nodes[..i].iter().position(|n| n.op == node.op).unwrap_or(i);
+                    } else {
+                        tape.consts.push((i, 0));
+                    }
+                }
+                Op::Invariant { reg } => match kernel.invariants.iter().position(|&r| r == reg) {
+                    Some(k) => tape.invs.push((i, k)),
+                    None => tape.consts.push((i, 0)),
+                },
+                Op::Acc { reg } => match kernel.accs.iter().position(|a| a.reg == reg) {
+                    Some(k) => {
+                        tape.acc_reads.push((i, k));
+                        in_cone[i] = true;
+                    }
+                    None => tape.consts.push((i, 0)),
+                },
+                Op::Const(c) => tape.consts.push((i, c)),
+                op => {
+                    let a = slot[node.args[0].0 as usize];
+                    let b = node.args.get(1).map_or(a, |id| slot[id.0 as usize]);
+                    let step = Step { op, dst: i, a, b };
+                    if node.args.iter().any(|id| in_cone[id.0 as usize]) {
+                        in_cone[i] = true;
+                        tape.cone.push(step);
+                    } else {
+                        tape.columns.push(step);
+                    }
+                }
+            }
+            slot.push(col);
+        }
+        for (stream, s) in kernel.streams.iter().enumerate() {
+            for &offset in &s.load_offsets {
+                let op = Op::LoadValue { stream, offset };
+                let read = nodes.iter().position(|n| n.op == op);
+                tape.loads.push(Access { stream, offset, slot: read });
+            }
+        }
+        tape.stores = kernel
+            .stores
+            .iter()
+            .map(|s| Access { stream: s.stream, offset: s.offset, slot: slot[s.value.0 as usize] })
+            .collect();
+        tape.acc_next = kernel.accs.iter().map(|a| slot[a.next.0 as usize]).collect();
+        tape
+    }
+
+    /// Words of column buffer the executor needs for this tape.
+    fn buffer_len(&self) -> usize {
+        self.slots * CHUNK
+    }
+
+    /// Fills the first `n` rows of the constant and invariant columns.
+    fn fill_inputs(&self, cols: &mut [u32], n: usize, invs: &[u32]) {
+        for &(slot, c) in &self.consts {
+            cols[slot * CHUNK..][..n].fill(c);
+        }
+        for &(slot, k) in &self.invs {
+            cols[slot * CHUNK..][..n].fill(invs[k]);
+        }
+    }
+
+    /// Evaluates `n` iterations whose input and load columns are
+    /// filled, entering with accumulator values `accs` (left as they
+    /// are; [`Tape::clock`] updates them).
+    fn eval(&self, cols: &mut [u32], n: usize, accs: &[u32]) {
+        for step in &self.columns {
+            step.run_column(cols, n);
+        }
+        // No accumulator read means no cone.
+        if self.acc_reads.is_empty() {
+            return;
+        }
+        for j in 0..n {
+            for &(slot, k) in &self.acc_reads {
+                cols[slot * CHUNK + j] =
+                    if j == 0 { accs[k] } else { cols[self.acc_next[k] * CHUNK + j - 1] };
+            }
+            for step in &self.cone {
+                step.run_row(cols, j);
+            }
+        }
+    }
+
+    /// Clocks the accumulators to their values after iteration `j`.
+    fn clock(&self, cols: &[u32], j: usize, accs: &mut [u32]) {
+        for (acc, &slot) in accs.iter_mut().zip(&self.acc_next) {
+            *acc = cols[slot * CHUNK + j];
+        }
+    }
+}
+
+impl Step {
+    /// Computes rows `0..n` of this step's column. Its operands'
+    /// columns precede it, since the DFG is topological.
+    fn run_column(&self, cols: &mut [u32], n: usize) {
+        let (src, dst) = cols.split_at_mut(self.dst * CHUNK);
+        let out = &mut dst[..n];
+        let a = &src[self.a * CHUNK..][..n];
+        let b = &src[self.b * CHUNK..][..n];
+        // One arm per operation, so each loop applies a fixed one.
+        match self.op {
+            Op::Add => zip_map(out, a, b, |x, y| alu(Op::Add, x, y)),
+            Op::Sub => zip_map(out, a, b, |x, y| alu(Op::Sub, x, y)),
+            Op::Mul => zip_map(out, a, b, |x, y| alu(Op::Mul, x, y)),
+            Op::And => zip_map(out, a, b, |x, y| alu(Op::And, x, y)),
+            Op::Or => zip_map(out, a, b, |x, y| alu(Op::Or, x, y)),
+            Op::Xor => zip_map(out, a, b, |x, y| alu(Op::Xor, x, y)),
+            Op::AndNot => zip_map(out, a, b, |x, y| alu(Op::AndNot, x, y)),
+            Op::Shl(k) => zip_map(out, a, b, |x, y| alu(Op::Shl(k), x, y)),
+            Op::Shr(k) => zip_map(out, a, b, |x, y| alu(Op::Shr(k), x, y)),
+            Op::Sar(k) => zip_map(out, a, b, |x, y| alu(Op::Sar(k), x, y)),
+            Op::ShlDyn => zip_map(out, a, b, |x, y| alu(Op::ShlDyn, x, y)),
+            Op::ShrDyn => zip_map(out, a, b, |x, y| alu(Op::ShrDyn, x, y)),
+            Op::SarDyn => zip_map(out, a, b, |x, y| alu(Op::SarDyn, x, y)),
+            Op::Sext8 => zip_map(out, a, b, |x, y| alu(Op::Sext8, x, y)),
+            Op::Sext16 => zip_map(out, a, b, |x, y| alu(Op::Sext16, x, y)),
+            Op::LoadValue { .. } | Op::Invariant { .. } | Op::Acc { .. } | Op::Const(_) => {
+                unreachable!("inputs are lowered to column fills")
+            }
+        }
+    }
+
+    /// Computes row `j` of this step's column.
+    fn run_row(&self, cols: &mut [u32], j: usize) {
+        cols[self.dst * CHUNK + j] =
+            alu(self.op, cols[self.a * CHUNK + j], cols[self.b * CHUNK + j]);
+    }
+}
+
+/// `out[i] = f(a[i], b[i])`: a fixed operation over equal-length
+/// slices, which the compiler vectorises.
+#[inline]
+fn zip_map(out: &mut [u32], a: &[u32], b: &[u32], f: impl Fn(u32, u32) -> u32) {
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        *o = f(x, y);
+    }
+}
+
+/// One computed operation on its operands (`y` is ignored by unary
+/// ones), with [`Dfg::eval`](warp_cdfg::Dfg::eval)'s semantics.
+#[inline(always)]
+fn alu(op: Op, x: u32, y: u32) -> u32 {
+    match op {
+        Op::Add => x.wrapping_add(y),
+        Op::Sub => x.wrapping_sub(y),
+        Op::Mul => x.wrapping_mul(y),
+        Op::And => x & y,
+        Op::Or => x | y,
+        Op::Xor => x ^ y,
+        Op::AndNot => x & !y,
+        Op::Shl(k) => x << (k & 31),
+        Op::Shr(k) => x >> (k & 31),
+        Op::Sar(k) => ((x as i32) >> (k & 31)) as u32,
+        Op::ShlDyn => x << (y & 31),
+        Op::ShrDyn => x >> (y & 31),
+        Op::SarDyn => ((x as i32) >> (y & 31)) as u32,
+        Op::Sext8 => x as u8 as i8 as i32 as u32,
+        Op::Sext16 => x as u16 as i16 as i32 as u32,
+        Op::LoadValue { .. } | Op::Invariant { .. } | Op::Acc { .. } | Op::Const(_) => {
+            unreachable!("inputs are lowered to column fills")
+        }
+    }
+}
+
+/// A device's column buffer: one 64-word column per DFG node of its
+/// [`Tape`], sized when the device is built, so a [`WclaDevice`]
+/// invoked once per dispatch of the patched loop allocates nothing per
+/// invocation.
 ///
 /// [`WclaDevice`]: crate::WclaDevice
-#[derive(Default)]
 pub struct ExecScratch {
-    vals: Vec<u32>,
-    load_vals: Vec<((usize, i32), u32)>,
+    cols: Vec<u32>,
+}
+
+impl ExecScratch {
+    /// The buffer `tape` runs in.
+    #[must_use]
+    pub fn new(tape: &Tape) -> Self {
+        ExecScratch { cols: vec![0; tape.buffer_len()] }
+    }
 }
 
 /// One hardware invocation's counters; accumulators are updated in the
@@ -105,7 +379,7 @@ pub struct FlatOutcome {
 /// all inputs and outputs are flat, index-aligned buffers (`ptrs` by
 /// stream index, `accs` by kernel accumulator index, `invs` by kernel
 /// invariant index), updated in place so a device can feed its own
-/// registers straight in.
+/// registers straight in. `scratch` must be built for `tape`.
 ///
 /// Functional behaviour uses the kernel's word-level DFG, bit-identical
 /// to the synthesized netlist (pinned per workload by
@@ -113,13 +387,27 @@ pub struct FlatOutcome {
 /// instead of LUT bits keeps warped hot loops within the same order of
 /// host cost as the software engines.
 ///
+/// Iterations run in chunks of up to 64, fetched ahead as the DADG
+/// fetches ahead: first all the chunk's loads, read straight from the
+/// BRAM's words; then the accumulator-free nodes a column at a time and
+/// the accumulator cone in iteration order; then the stores, one
+/// iteration at a time. A chunk runs one iteration at a time on the
+/// same tape, with every access checked, when any address it would
+/// generate (computed without wrapping) is misaligned or outside the
+/// BRAM, or when the span its stores write meets the span its loads
+/// read, since a load could then see an earlier iteration's store.
+/// Results, errors and partial state are therefore those of running
+/// every iteration in turn.
+///
 /// # Errors
 ///
 /// Returns [`MemError`] if a generated address leaves the BRAM — the
-/// hardware equivalent of a wild pointer.
+/// hardware equivalent of a wild pointer. Memory then holds every store
+/// made before the faulting access, and `ptrs` and `accs` hold their
+/// values after the last whole iteration.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_flat(
-    kernel: &warp_cdfg::LoopKernel,
+    tape: &Tape,
     model: &ExecModel,
     count: u32,
     ptrs: &mut [u32],
@@ -128,51 +416,111 @@ pub fn execute_flat(
     dmem: &mut Bram,
     scratch: &mut ExecScratch,
 ) -> Result<FlatOutcome, MemError> {
-    let iterations = u64::from(count);
-    let mut loads = 0u64;
-    let mut stores = 0u64;
-    let ExecScratch { vals, load_vals } = scratch;
-
-    for _ in 0..iterations {
-        // DADG load phase: fetch every (stream, offset) word.
-        load_vals.clear();
-        for (si, s) in kernel.streams.iter().enumerate() {
-            let base = ptrs[si];
-            for &off in &s.load_offsets {
-                let v = dmem.read_word(base.wrapping_add(off as u32))?;
-                load_vals.push(((si, off), v));
-                loads += 1;
+    let cols = &mut scratch.cols[..];
+    let mut left = count as usize;
+    tape.fill_inputs(cols, left.min(CHUNK), invs);
+    while left > 0 {
+        let n = left.min(CHUNK);
+        if columnar(tape, ptrs, n, dmem.size()) {
+            fetch_columns(tape, ptrs, n, dmem.words(), cols);
+            tape.eval(cols, n, accs);
+            for j in 0..n {
+                for s in &tape.stores {
+                    let skip = (j as u32).wrapping_mul(tape.strides[s.stream] as u32);
+                    let addr = ptrs[s.stream].wrapping_add(skip).wrapping_add(s.offset as u32);
+                    dmem.write_word(addr, cols[s.slot * CHUNK + j])?;
+                }
+            }
+            tape.clock(cols, n - 1, accs);
+            advance(tape, ptrs, n);
+        } else {
+            for _ in 0..n {
+                iterate_once(tape, ptrs, accs, dmem, cols)?;
             }
         }
-
-        // Word-level settle: one pass over the DFG in topological
-        // order. The operand sets are tiny, so linear scans beat maps.
-        kernel.dfg.eval_into(
-            vals,
-            |stream, offset| {
-                load_vals.iter().find(|(k, _)| *k == (stream, offset)).map_or(0, |(_, v)| *v)
-            },
-            |reg| kernel.invariants.iter().position(|&r| r == reg).map_or(0, |k| invs[k]),
-            |reg| kernel.accs.iter().position(|a| a.reg == reg).map_or(0, |k| accs[k]),
-        );
-
-        // DADG store phase.
-        for s in &kernel.stores {
-            let base = ptrs[s.stream];
-            dmem.write_word(base.wrapping_add(s.offset as u32), vals[s.value.0 as usize])?;
-            stores += 1;
-        }
-
-        // Clock the accumulators and advance the streams.
-        for (k, a) in kernel.accs.iter().enumerate() {
-            accs[k] = vals[a.next.0 as usize];
-        }
-        for (si, s) in kernel.streams.iter().enumerate() {
-            ptrs[si] = ptrs[si].wrapping_add(s.stride as u32);
-        }
+        left -= n;
     }
 
-    Ok(FlatOutcome { iterations, fabric_cycles: model.total_cycles(iterations), loads, stores })
+    let iterations = u64::from(count);
+    Ok(FlatOutcome {
+        iterations,
+        fabric_cycles: model.total_cycles(iterations),
+        loads: iterations * tape.loads.len() as u64,
+        stores: iterations * tape.stores.len() as u64,
+    })
+}
+
+/// Whether the next `n` iterations can run a column at a time: every
+/// address they generate, computed without wrapping, is word-aligned
+/// and inside a BRAM of `size` bytes, and the span the stores write
+/// does not meet the span the loads read.
+fn columnar(tape: &Tape, ptrs: &[u32], n: usize, size: u32) -> bool {
+    // The bytes `n` iterations touch at `offset` from a stream's cursor.
+    let span = |stream: usize, offset: i32| {
+        let stride = i64::from(tape.strides[stream]);
+        let first = i64::from(ptrs[stream]) + i64::from(offset);
+        let last = first + stride * (n as i64 - 1);
+        let aligned = first % 4 == 0 && (n == 1 || stride % 4 == 0);
+        let (lo, hi) = (first.min(last), first.max(last) + 3);
+        (aligned && lo >= 0 && hi < i64::from(size)).then_some((lo, hi))
+    };
+    let mut loads = (i64::MAX, i64::MIN);
+    for a in &tape.loads {
+        let Some((lo, hi)) = span(a.stream, a.offset) else { return false };
+        loads = (loads.0.min(lo), loads.1.max(hi));
+    }
+    let mut stores = (i64::MAX, i64::MIN);
+    for a in &tape.stores {
+        let Some((lo, hi)) = span(a.stream, a.offset) else { return false };
+        stores = (stores.0.min(lo), stores.1.max(hi));
+    }
+    // An empty span starts after it ends, so it meets nothing.
+    stores.0 > loads.1 || loads.0 > stores.1
+}
+
+/// Fills the load columns of `n` iterations from the BRAM's words, all
+/// of whose addresses [`columnar`] has checked.
+fn fetch_columns(tape: &Tape, ptrs: &[u32], n: usize, words: &[u32], cols: &mut [u32]) {
+    for a in &tape.loads {
+        let Some(slot) = a.slot else { continue };
+        let first = (i64::from(ptrs[a.stream]) + i64::from(a.offset)) / 4;
+        let step = i64::from(tape.strides[a.stream] / 4);
+        for (j, v) in cols[slot * CHUNK..][..n].iter_mut().enumerate() {
+            *v = words[(first + j as i64 * step) as usize];
+        }
+    }
+}
+
+/// Runs one iteration in row 0 of the columns, checking every access
+/// in DADG order: all loads, then the stores. The accumulators and
+/// stream cursors move only once the iteration has completed.
+fn iterate_once(
+    tape: &Tape,
+    ptrs: &mut [u32],
+    accs: &mut [u32],
+    dmem: &mut Bram,
+    cols: &mut [u32],
+) -> Result<(), MemError> {
+    for a in &tape.loads {
+        let v = dmem.read_word(ptrs[a.stream].wrapping_add(a.offset as u32))?;
+        if let Some(slot) = a.slot {
+            cols[slot * CHUNK] = v;
+        }
+    }
+    tape.eval(cols, 1, accs);
+    for s in &tape.stores {
+        dmem.write_word(ptrs[s.stream].wrapping_add(s.offset as u32), cols[s.slot * CHUNK])?;
+    }
+    tape.clock(cols, 0, accs);
+    advance(tape, ptrs, 1);
+    Ok(())
+}
+
+/// Moves every stream cursor on by `n` iterations.
+fn advance(tape: &Tape, ptrs: &mut [u32], n: usize) {
+    for (p, &stride) in ptrs.iter_mut().zip(&tape.strides) {
+        *p = p.wrapping_add((stride as u32).wrapping_mul(n as u32));
+    }
 }
 
 #[cfg(test)]
@@ -180,8 +528,9 @@ mod tests {
     use std::collections::BTreeMap;
 
     use super::*;
+    use crate::WclaCircuit;
     use mb_isa::{MbFeatures, Reg};
-    use warp_cdfg::{decompile_loop, KernelEnv};
+    use warp_cdfg::{decompile_loop, Dfg, KernelEnv, MemStream, StoreOp};
     use warp_synth::bits::InputWord;
 
     /// Result of one hardware invocation, accumulators keyed by register.
@@ -200,17 +549,14 @@ mod tests {
     }
 
     /// [`execute_flat`] behind a register-keyed [`KernelEnv`], the
-    /// interface the kernel interpreter shares. The netlist is unused:
-    /// the signature matches [`execute_netlist`] so the two executors
-    /// are called alike.
+    /// interface the kernel interpreter shares.
     fn execute(
-        kernel: &warp_cdfg::LoopKernel,
-        _netlist: &LutNetlist,
-        model: &ExecModel,
+        circuit: &WclaCircuit,
         env: &KernelEnv,
         dmem: &mut Bram,
     ) -> Result<HwOutcome, MemError> {
-        let mut scratch = ExecScratch::default();
+        let kernel = &circuit.kernel;
+        let mut scratch = ExecScratch::new(&circuit.tape);
         let mut ptrs: Vec<u32> = kernel.streams.iter().map(|s| env.pointers[&s.base]).collect();
         let mut accs: Vec<u32> =
             kernel.accs.iter().map(|a| env.accs.get(&a.reg).copied().unwrap_or(0)).collect();
@@ -218,8 +564,8 @@ mod tests {
             kernel.invariants.iter().map(|r| env.invariants.get(r).copied().unwrap_or(0)).collect();
 
         let flat = execute_flat(
-            kernel,
-            model,
+            &circuit.tape,
+            &circuit.model,
             env.counter,
             &mut ptrs,
             &mut accs,
@@ -244,12 +590,11 @@ mod tests {
     /// netlist every iteration, anchoring the word-level path to the
     /// synthesized hardware.
     fn execute_netlist(
-        kernel: &warp_cdfg::LoopKernel,
-        netlist: &LutNetlist,
-        model: &ExecModel,
+        circuit: &WclaCircuit,
         env: &KernelEnv,
         dmem: &mut Bram,
     ) -> Result<HwOutcome, MemError> {
+        let WclaCircuit { kernel, netlist, model, .. } = circuit;
         let iterations = u64::from(env.counter);
         let mut pointers: BTreeMap<Reg, u32> = env.pointers.clone();
         let invariants = env.invariants.clone();
@@ -326,7 +671,7 @@ mod tests {
             let built = workload.build(MbFeatures::paper_default());
             let kernel =
                 decompile_loop(&built.program, built.kernel.head, built.kernel.tail).unwrap();
-            let (circuit, _) = crate::WclaCircuit::build(kernel.clone()).unwrap();
+            let (circuit, _) = WclaCircuit::build(kernel.clone()).unwrap();
 
             // Seed memory from the workload's initial data.
             let mut hw_mem = Bram::new(64 * 1024);
@@ -335,10 +680,10 @@ mod tests {
             }
             let mut ref_mem = hw_mem.clone();
 
-            // Environment: run a modest number of iterations.
-            let mut env = KernelEnv { counter: 40, ..KernelEnv::default() };
+            // Environment: two whole chunks and a tail.
+            let mut env = KernelEnv { counter: 150, ..KernelEnv::default() };
             for (si, s) in kernel.streams.iter().enumerate() {
-                // Separate streams far enough that 40 iterations cannot
+                // Separate streams far enough that 150 iterations cannot
                 // overlap (the reference interpreter reads a frozen
                 // snapshot, the hardware reads live memory).
                 let base = 0x1000 + (si as u32) * 0x2000;
@@ -351,8 +696,7 @@ mod tests {
                 env.invariants.insert(r, 7);
             }
 
-            let hw = execute(&circuit.kernel, &circuit.netlist, &circuit.model, &env, &mut hw_mem)
-                .unwrap();
+            let hw = execute(&circuit, &env, &mut hw_mem).unwrap();
             let mut ref_env = env.clone();
             let ref_mem_ro = ref_mem.clone();
             let mut ref_stores = Vec::new();
@@ -369,8 +713,8 @@ mod tests {
             for a in &kernel.accs {
                 assert_eq!(hw.accs[&a.reg], ref_env.accs[&a.reg], "{}: acc", workload.name);
             }
-            assert_eq!(hw.iterations, 40);
-            assert!(hw.fabric_cycles >= 40, "{}: cycles sane", workload.name);
+            assert_eq!(hw.iterations, 150);
+            assert!(hw.fabric_cycles >= 150, "{}: cycles sane", workload.name);
         }
     }
 
@@ -384,7 +728,7 @@ mod tests {
             let built = workload.build(MbFeatures::paper_default());
             let kernel =
                 decompile_loop(&built.program, built.kernel.head, built.kernel.tail).unwrap();
-            let (circuit, _) = crate::WclaCircuit::build(kernel.clone()).unwrap();
+            let (circuit, _) = WclaCircuit::build(kernel.clone()).unwrap();
 
             let mut word_mem = Bram::new(64 * 1024);
             for (addr, words) in &built.data {
@@ -392,7 +736,8 @@ mod tests {
             }
             let mut bit_mem = word_mem.clone();
 
-            let mut env = KernelEnv { counter: 37, ..KernelEnv::default() };
+            // Two whole chunks and a tail.
+            let mut env = KernelEnv { counter: 151, ..KernelEnv::default() };
             for (si, s) in kernel.streams.iter().enumerate() {
                 env.pointers.insert(s.base, 0x1000 + (si as u32) * 0x2000);
             }
@@ -403,17 +748,8 @@ mod tests {
                 env.invariants.insert(r, 13);
             }
 
-            let word =
-                execute(&circuit.kernel, &circuit.netlist, &circuit.model, &env, &mut word_mem)
-                    .unwrap();
-            let bit = execute_netlist(
-                &circuit.kernel,
-                &circuit.netlist,
-                &circuit.model,
-                &env,
-                &mut bit_mem,
-            )
-            .unwrap();
+            let word = execute(&circuit, &env, &mut word_mem).unwrap();
+            let bit = execute_netlist(&circuit, &env, &mut bit_mem).unwrap();
 
             assert_eq!(word, bit, "{}: outcome diverged", workload.name);
             assert_eq!(word_mem.words(), bit_mem.words(), "{}: memory diverged", workload.name);
@@ -426,7 +762,7 @@ mod tests {
             let built = workloads::by_name(name).unwrap().build(MbFeatures::paper_default());
             let kernel =
                 decompile_loop(&built.program, built.kernel.head, built.kernel.tail).unwrap();
-            let (circuit, _) = crate::WclaCircuit::build(kernel).unwrap();
+            let (circuit, _) = WclaCircuit::build(kernel).unwrap();
             circuit.model
         };
         let brev = get_model("brev");
@@ -435,5 +771,61 @@ mod tests {
         assert!(brev.cycles_per_iteration < idct.cycles_per_iteration);
         assert!(idct.mac_cycles >= 28);
         assert_eq!(brev.mem_ops, 2);
+    }
+
+    /// A load the streams do not fetch, an invariant or an accumulator
+    /// the kernel does not list: each lowers to a constant 0 column.
+    #[test]
+    fn inputs_the_kernel_does_not_provide_read_zero() {
+        let mut dfg = Dfg::new();
+        let load = dfg.push(Op::LoadValue { stream: 0, offset: 8 }, vec![]);
+        let inv = dfg.push(Op::Invariant { reg: Reg::R20 }, vec![]);
+        let acc = dfg.push(Op::Acc { reg: Reg::R21 }, vec![]);
+        let one = dfg.constant(1);
+        let sum = dfg.push(Op::Add, vec![load, inv]);
+        let sum = dfg.push(Op::Add, vec![sum, acc]);
+        let sum = dfg.push(Op::Add, vec![sum, one]);
+        let kernel = LoopKernel {
+            head: 0,
+            tail: 0,
+            counter: Reg::R6,
+            streams: vec![MemStream {
+                base: Reg::R3,
+                stride: 4,
+                load_offsets: vec![0],
+                store_offsets: vec![0x40],
+            }],
+            dfg,
+            stores: vec![StoreOp { stream: 0, offset: 0x40, value: sum }],
+            accs: Vec::new(),
+            invariants: Vec::new(),
+            dead_temps: Vec::new(),
+            body_insns: 0,
+        };
+        let model = ExecModel {
+            fabric_clock_hz: 1,
+            mem_ops: 2,
+            compute_cycles: 1,
+            mac_cycles: 0,
+            startup_cycles: 0,
+            cycles_per_iteration: 2,
+        };
+        let tape = Tape::lower(&kernel);
+        let mut dmem = Bram::new(0x100);
+        dmem.load_words(0, &[u32::MAX; 0x10]).unwrap();
+        let mut ptrs = [0];
+        execute_flat(
+            &tape,
+            &model,
+            3,
+            &mut ptrs,
+            &mut [],
+            &[],
+            &mut dmem,
+            &mut ExecScratch::new(&tape),
+        )
+        .unwrap();
+        assert_eq!(dmem.read_words(0x40, 4).unwrap(), [1, 1, 1, 0]);
+        assert_eq!(ptrs, [12]);
     }
 }

@@ -16,6 +16,7 @@
 //!   DADG performs each load/store in one fabric cycle, the routed logic
 //!   settles over however many fabric cycles its critical path needs,
 //!   and MAC operations serialize on the single hard multiplier;
+//!   functionally it runs the kernel's [`Tape`] in chunks of iterations;
 //! * [`device`] — the OPB peripheral ([`WclaDevice`]): memory-mapped
 //!   registers the patched binary writes to seed the counter, stream
 //!   bases, accumulators, and invariants, plus a blocking status read
@@ -39,7 +40,7 @@ use warp_synth::store::Lookups;
 use warp_synth::{LutNetlist, SynthReport};
 
 pub use device::{WclaDevice, WclaStats, WCLA_BASE, WCLA_WINDOW};
-pub use executor::ExecModel;
+pub use executor::{ExecModel, Tape};
 pub use patch::{apply_patch, stub_base_for, PatchPlan, STUB_GAP_WORDS};
 
 /// The modeled reuse tiers of the whole CAD back end: the canonical
@@ -126,12 +127,14 @@ pub const MAC_LATENCY: u64 = 2;
 pub struct WclaCircuit {
     /// The decompiled kernel (streams, stores, accumulators).
     pub kernel: LoopKernel,
-    /// The mapped LUT netlist (used for fast functional iteration).
+    /// The mapped LUT netlist.
     pub netlist: LutNetlist,
     /// The placed/routed/configured fabric circuit.
     pub compiled: CompiledCircuit,
     /// The derived cycle model.
     pub model: ExecModel,
+    /// The kernel's DFG lowered for [`executor::execute_flat`].
+    pub tape: Tape,
 }
 
 impl WclaCircuit {
@@ -169,8 +172,9 @@ impl WclaCircuit {
         let (compiled, fabric_work) =
             warp_fabric::compile_cached(&netlist, &base, &store.fabric, caches.map(|c| &c.fabric))?;
         let model = ExecModel::derive(&kernel, &netlist, &compiled);
+        let tape = Tape::lower(&kernel);
         let work = CadWork { map: map_work, fabric: fabric_work };
-        Ok((WclaCircuit { kernel, netlist, compiled, model }, report, work))
+        Ok((WclaCircuit { kernel, netlist, compiled, model, tape }, report, work))
     }
 }
 
